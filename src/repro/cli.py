@@ -10,8 +10,8 @@ Usage (after installation)::
     urllc5g technologies          # Wi-Fi / Bluetooth / mmWave (§9)
     urllc5g lint src/             # per-file static analysis (docs/LINTING.md)
     urllc5g analyze src/          # whole-program analysis (docs/ANALYSIS.md)
-    urllc5g distcheck src/        # distributability certification
-    urllc5g check --all           # lint + analyze + detsan + distcheck gate
+    urllc5g analyze src/ --manifest distcheck-manifest.json
+    urllc5g check --all           # lint + analyze gate
     urllc5g check --determinism   # same-seed trace-digest comparison
     urllc5g bench smoke           # run a named campaign (docs/CAMPAIGNS.md)
     urllc5g bench smoke --check benchmarks/baselines/smoke.json
@@ -171,7 +171,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     from repro.devtools.analyze import (
         AnalyzeConfig, Baseline, analyze_paths, load_analyze_config,
-        load_baseline, render_analysis_json, render_analysis_sarif,
+        load_baseline, render_analysis_dot, render_analysis_json,
+        render_analysis_manifest, render_analysis_sarif,
         render_analysis_text, write_baseline)
     paths = args.paths or ["src"]
     missing = [p for p in paths if not Path(p).exists()]
@@ -185,150 +186,50 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         else:
             config = load_analyze_config(pyproject=args.config,
                                          start=paths[0])
-        baseline = (load_baseline(args.baseline)
-                    if args.baseline else None)
         if args.write_baseline:
             # Capture the *unfiltered* findings as the new baseline.
-            report = analyze_paths(paths, config, baseline=Baseline(),
-                                   cache_path=args.cache,
-                                   use_cache=not args.no_cache)
-            write_baseline(args.write_baseline, report.violations)
-            print(f"wrote {len(report.violations)} finding(s) to "
-                  f"{args.write_baseline}")
-            return 0
+            baseline = Baseline()
+        else:
+            baseline = (load_baseline(args.baseline)
+                        if args.baseline else None)
         report = analyze_paths(paths, config, baseline=baseline,
                                cache_path=args.cache,
                                use_cache=not args.no_cache)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.write_baseline:
+        write_baseline(args.write_baseline, report.violations)
+        print(f"wrote {len(report.violations)} finding(s) to "
+              f"{args.write_baseline}")
+        return 0
     renderers = {"json": render_analysis_json,
                  "sarif": render_analysis_sarif,
+                 "dot": render_analysis_dot,
                  "text": render_analysis_text}
     print(renderers[args.format](report))
-    return report.exit_code
-
-
-def _cmd_detsan(args: argparse.Namespace) -> int:
-    # Imported lazily so analysis commands stay import-light.
-    from pathlib import Path
-
-    from repro.devtools.analyze import (Baseline, load_baseline,
-                                        write_baseline)
-    from repro.devtools.detsan import (
-        DetsanConfig, detsan_paths, load_detsan_config,
-        render_detsan_dot, render_detsan_json, render_detsan_sarif,
-        render_detsan_text)
-    paths = args.paths or ["src"]
-    missing = [p for p in paths if not Path(p).exists()]
-    if missing:
-        print(f"error: no such path: {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
-    try:
-        if args.no_config:
-            config = DetsanConfig()
-        else:
-            config = load_detsan_config(pyproject=args.config,
-                                        start=paths[0])
-        baseline = (load_baseline(args.baseline)
-                    if args.baseline else None)
-        if args.write_baseline:
-            # Capture the *unfiltered* findings as the new baseline.
-            report = detsan_paths(paths, config, baseline=Baseline(),
-                                  cache_path=args.cache,
-                                  use_cache=not args.no_cache)
-            write_baseline(args.write_baseline, report.violations)
-            print(f"wrote {len(report.violations)} finding(s) to "
-                  f"{args.write_baseline}")
-            return 0
-        report = detsan_paths(paths, config, baseline=baseline,
-                              cache_path=args.cache,
-                              use_cache=not args.no_cache)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    renderers = {"json": render_detsan_json,
-                 "sarif": render_detsan_sarif,
-                 "dot": render_detsan_dot,
-                 "text": render_detsan_text}
-    print(renderers[args.format](report))
-    return report.exit_code
-
-
-def _cmd_distcheck(args: argparse.Namespace) -> int:
-    # Imported lazily so analysis commands stay import-light.
-    from pathlib import Path
-
-    from repro.devtools.analyze import (Baseline, load_baseline,
-                                        write_baseline)
-    from repro.devtools.distcheck import (
-        DistcheckConfig, distcheck_paths, load_distcheck_config,
-        render_distcheck_json, render_distcheck_manifest,
-        render_distcheck_sarif, render_distcheck_text)
-    paths = args.paths or ["src"]
-    missing = [p for p in paths if not Path(p).exists()]
-    if missing:
-        print(f"error: no such path: {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
-    try:
-        if args.no_config:
-            config = DistcheckConfig()
-        else:
-            config = load_distcheck_config(pyproject=args.config,
-                                           start=paths[0])
-        baseline = (load_baseline(args.baseline)
-                    if args.baseline else None)
-        if args.write_baseline:
-            # Capture the *unfiltered* findings as the new baseline.
-            report = distcheck_paths(paths, config, baseline=Baseline(),
-                                     cache_path=args.cache,
-                                     use_cache=not args.no_cache)
-            write_baseline(args.write_baseline, report.violations)
-            print(f"wrote {len(report.violations)} finding(s) to "
-                  f"{args.write_baseline}")
-            return 0
-        report = distcheck_paths(paths, config, baseline=baseline,
-                                 cache_path=args.cache,
-                                 use_cache=not args.no_cache)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    renderers = {"json": render_distcheck_json,
-                 "sarif": render_distcheck_sarif,
-                 "text": render_distcheck_text}
-    print(renderers[args.format](report))
-    if not args.no_manifest:
+    if args.manifest:
         manifest = Path(args.manifest)
-        manifest.write_text(render_distcheck_manifest(report),
+        manifest.write_text(render_analysis_manifest(report),
                             encoding="utf-8")
-        print(f"wrote certification manifest {manifest}")
+        # stderr, so the json/sarif/dot document on stdout stays whole.
+        print(f"wrote certification manifest {manifest}",
+              file=sys.stderr)
     return report.exit_code
 
 
 def _check_all() -> int:
-    """One blocking pre-merge entry point: all four analysis verbs."""
-    from repro.devtools.analyze import (analyze_paths,
-                                        load_analyze_config)
-    from repro.devtools.detsan import detsan_paths, load_detsan_config
-    from repro.devtools.distcheck import (distcheck_paths,
-                                          load_distcheck_config)
+    """One blocking pre-merge entry point: lint plus every analyze pass."""
+    from repro.devtools.analyze import analyze_paths, load_analyze_config
     from repro.devtools.lintkit import lint_paths, load_config
 
     paths = ["src"]
     lint_report = lint_paths(paths, load_config(start=paths[0]))
     analyze_report = analyze_paths(
         paths, load_analyze_config(start=paths[0]))
-    detsan_report = detsan_paths(
-        paths, load_detsan_config(start=paths[0]))
-    distcheck_report = distcheck_paths(
-        paths, load_distcheck_config(start=paths[0]))
 
     rows = []
-    reports = (("lint", lint_report), ("analyze", analyze_report),
-               ("detsan", detsan_report),
-               ("distcheck", distcheck_report))
+    reports = (("lint", lint_report), ("analyze", analyze_report))
     for name, report in reports:
         extras = []
         for label in ("suppressed", "baselined"):
@@ -341,8 +242,12 @@ def _check_all() -> int:
                      "FAIL" if report.exit_code else "PASS"))
     print(render_table(("tool", "findings", "status"), rows,
                        title="urllc5g check --all"))
+    ownership = analyze_report.extras.ownership
+    print(f"detsan streams: {len(ownership.streams)} "
+          f"({ownership.resolved}/{ownership.acquisitions} "
+          "acquisition(s) resolved)")
     statuses: dict[str, int] = {}
-    for cert in distcheck_report.certifications:
+    for cert in analyze_report.extras.certifications:
         statuses[cert.status] = statuses.get(cert.status, 0) + 1
     summary = ", ".join(f"{count} {status}" for status, count
                         in sorted(statuses.items()))
@@ -645,12 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="whole-program analysis (see docs/ANALYSIS.md)")
+        help="whole-program analysis: units, purity, detsan, distcheck "
+             "(see docs/ANALYSIS.md)")
     analyze.add_argument("paths", nargs="*", default=["src"],
                          help="files or directories (default: src)")
     analyze.add_argument("--format",
-                         choices=("text", "json", "sarif"),
-                         default="text")
+                         choices=("text", "json", "sarif", "dot"),
+                         default="text",
+                         help="dot emits the RNG stream->owner graph")
     analyze.add_argument("--baseline", default=None, metavar="FILE",
                          help="accepted-findings file "
                               "(overrides pyproject)")
@@ -667,76 +574,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="explicit pyproject.toml path")
     analyze.add_argument("--no-config", action="store_true",
                          help="ignore [tool.urllc5g.analyze] entirely")
+    analyze.add_argument("--manifest", default=None, metavar="FILE",
+                         help="also write the per-scenario distcheck "
+                              "certification manifest to FILE")
     analyze.set_defaults(func=_cmd_analyze)
-
-    detsan = sub.add_parser(
-        "detsan",
-        help="RNG stream-ownership analysis (see docs/ANALYSIS.md)")
-    detsan.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories (default: src)")
-    detsan.add_argument("--format",
-                        choices=("text", "json", "sarif", "dot"),
-                        default="text",
-                        help="dot emits the stream->owner graph")
-    detsan.add_argument("--baseline", default=None, metavar="FILE",
-                        help="accepted-findings file "
-                             "(overrides pyproject)")
-    detsan.add_argument("--write-baseline", default=None,
-                        metavar="FILE",
-                        help="accept all current findings into FILE "
-                             "and exit 0")
-    detsan.add_argument("--cache", default=None, metavar="FILE",
-                        help="incremental cache location "
-                             "(overrides pyproject)")
-    detsan.add_argument("--no-cache", action="store_true",
-                        help="re-parse every module")
-    detsan.add_argument("--config", default=None,
-                        help="explicit pyproject.toml path")
-    detsan.add_argument("--no-config", action="store_true",
-                        help="ignore [tool.urllc5g.detsan] entirely")
-    detsan.set_defaults(func=_cmd_detsan)
-
-    distcheck = sub.add_parser(
-        "distcheck",
-        help="distributability certification (see docs/ANALYSIS.md)")
-    distcheck.add_argument("paths", nargs="*", default=["src"],
-                           help="files or directories (default: src)")
-    distcheck.add_argument("--format",
-                           choices=("text", "json", "sarif"),
-                           default="text")
-    distcheck.add_argument("--baseline", default=None, metavar="FILE",
-                           help="accepted-findings file "
-                                "(overrides pyproject)")
-    distcheck.add_argument("--write-baseline", default=None,
-                           metavar="FILE",
-                           help="accept all current findings into FILE "
-                                "and exit 0")
-    distcheck.add_argument("--cache", default=None, metavar="FILE",
-                           help="incremental cache location "
-                                "(overrides pyproject)")
-    distcheck.add_argument("--no-cache", action="store_true",
-                           help="re-parse every module")
-    distcheck.add_argument("--config", default=None,
-                           help="explicit pyproject.toml path")
-    distcheck.add_argument("--no-config", action="store_true",
-                           help="ignore [tool.urllc5g.distcheck] "
-                                "entirely")
-    distcheck.add_argument("--manifest",
-                           default="distcheck-manifest.json",
-                           metavar="FILE",
-                           help="per-scenario certification manifest "
-                                "(default: distcheck-manifest.json)")
-    distcheck.add_argument("--no-manifest", action="store_true",
-                           help="skip writing the manifest")
-    distcheck.set_defaults(func=_cmd_distcheck)
 
     check = sub.add_parser(
         "check",
         help="aggregate gate (--all) and runtime sanitizers "
              "(--determinism)")
     check.add_argument("--all", action="store_true",
-                       help="run lint + analyze + detsan + distcheck "
-                            "over src/ and exit with the worst code")
+                       help="run lint + analyze over src/ and exit "
+                            "with the worst code")
     check.add_argument("--determinism", action="store_true",
                        help="run a scenario twice with the same seed "
                             "and compare trace digests")

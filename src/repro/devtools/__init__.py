@@ -7,41 +7,30 @@ Three quality gates live here, all wired into the ``urllc5g`` CLI and CI:
   rest on (no wall-clock reads in simulated paths, explicit RNG
   threading, time-unit suffix consistency, deterministic iteration
   order);
-- :mod:`repro.devtools.analyze` — the whole-program companion:
-  cross-module time-unit inference and transitive purity checking over
-  the project call graph (see docs/ANALYSIS.md);
+- :mod:`repro.devtools.analyze` — the whole-program companion: one
+  project load, four passes (cross-module time units, transitive
+  purity, RNG stream ownership, scenario distributability; see
+  docs/ANALYSIS.md);
 - :mod:`repro.devtools.determinism` — a runtime sanitizer that runs a
   scenario twice with the same seed and compares trace digests.
 
 Shared infrastructure: :mod:`repro.devtools.walker` (file discovery)
 and :mod:`repro.devtools.sarif` (SARIF 2.1.0 output).
+
+The campaign runner imports :mod:`repro.devtools.walker` and
+:mod:`repro.devtools.distcheck.manifest` at runtime, which runs this
+``__init__``; it therefore re-exports only what loads without the
+analyzer and the linter.  Import those from their own packages.
 """
 
-from repro.devtools.analyze import AnalysisReport, analyze_paths
 from repro.devtools.determinism import (
     DeterminismReport,
     determinism_report,
     run_traced_scenario,
 )
-from repro.devtools.lintkit import (
-    LintConfig,
-    LintReport,
-    Rule,
-    Severity,
-    Violation,
-    lint_paths,
-)
 
 __all__ = [
-    "AnalysisReport",
     "DeterminismReport",
-    "analyze_paths",
     "determinism_report",
     "run_traced_scenario",
-    "LintConfig",
-    "LintReport",
-    "Rule",
-    "Severity",
-    "Violation",
-    "lint_paths",
 ]

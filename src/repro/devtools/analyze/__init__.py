@@ -2,7 +2,7 @@
 
 Where :mod:`repro.devtools.lintkit` checks one expression in one file,
 this package loads *all* of ``src/`` into a project model (symbol
-table + call graph) and runs two cross-module passes over it:
+table + call graph) once and runs four cross-module passes over it:
 
 - **time-unit inference** (:mod:`.units`): abstract interpretation over
   the unit lattice ``tc | ns | us | ms | s | unitless | unknown``,
@@ -12,11 +12,15 @@ table + call graph) and runs two cross-module passes over it:
 - **transitive purity** (:mod:`.purity`): wall-clock, global-RNG and
   unordered-iteration-before-scheduling taint propagated through the
   call graph, catching the helper-indirection cases per-file lint is
-  blind to.
+  blind to;
+- **detsan** (:mod:`repro.devtools.detsan`): the RNG stream ownership
+  map and its five ``detsan-*`` rules;
+- **distcheck** (:mod:`repro.devtools.distcheck`): per-scenario
+  distributability certification and its five ``dist-*`` rules.
 
 Findings reuse the lintkit :class:`~repro.devtools.lintkit.core.Violation`
-shape, so the text/JSON/SARIF reporters and the reviewed-baseline
-workflow are shared between both tools.  See docs/ANALYSIS.md.
+shape, so one pragma grammar, one reviewed baseline and one set of
+text/JSON/SARIF reporters serve every pass.  See docs/ANALYSIS.md.
 """
 
 from repro.devtools.analyze.baseline import (
@@ -29,8 +33,12 @@ from repro.devtools.analyze.cache import AnalysisCache
 from repro.devtools.analyze.engine import (
     ANALYZE_RULES,
     AnalysisReport,
+    PassExtras,
+    ScenarioCertification,
     analyze_paths,
+    render_analysis_dot,
     render_analysis_json,
+    render_analysis_manifest,
     render_analysis_sarif,
     render_analysis_text,
 )
@@ -43,12 +51,16 @@ __all__ = [
     "AnalyzeConfig",
     "Baseline",
     "PARSE_HOOKS",
+    "PassExtras",
     "Project",
+    "ScenarioCertification",
     "analyze_paths",
     "load_analyze_config",
     "load_baseline",
     "load_project",
+    "render_analysis_dot",
     "render_analysis_json",
+    "render_analysis_manifest",
     "render_analysis_sarif",
     "render_analysis_text",
     "write_baseline",

@@ -1,20 +1,32 @@
 """Load analyzer configuration from ``pyproject.toml``.
 
-The ``[tool.urllc5g.analyze]`` table mirrors the lint one::
+One ``[tool.urllc5g.analyze]`` table configures every pass (units,
+purity, detsan, distcheck)::
 
     [tool.urllc5g.analyze]
-    ignore = []                        # analyzer rule ids disabled
+    ignore = []                        # rule ids disabled, any pass
     exclude = ["*/fixtures/*"]         # path globs never analyzed
     baseline = "analyze-baseline.json" # reviewed accepted findings
     cache = ".urllc5g-analyze-cache.json"
 
+    [tool.urllc5g.analyze.distcheck]   # the distributability contract
+    allow-env = ["URLLC5G_*"]          # reviewed env-var names
+    refuse-scenarios = ["chaos-selftest"]
+    allow-globals = []                 # reviewed mutable-state writers
+    sanctioned-writers = ["repro.runner.cache.*"]
+
+Relative ``baseline``/``cache`` paths are anchored at the pyproject's
+directory, so ``--config /elsewhere/pyproject.toml`` honors the
+reviewed baseline from any working directory.  ``allow-env`` patterns
+match environment-variable names; ``allow-globals`` and
+``sanctioned-writers`` match function qualnames (fnmatch globs).
 Per-line/per-file escapes use ``# analyze: disable=RULE`` pragmas (see
 docs/ANALYSIS.md); the baseline file is the reviewed bulk mechanism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.devtools.lintkit.core import _glob_match
@@ -27,20 +39,33 @@ except ImportError:  # pragma: no cover - Python 3.10 fallback
 
 __all__ = ["AnalyzeConfig", "load_analyze_config"]
 
+#: The reviewed env-var contract: runner knobs are snapshot-managed.
+DEFAULT_ALLOW_ENV = ("URLLC5G_*",)
+
 
 @dataclass
 class AnalyzeConfig:
-    """Which analyzer rules run where; see ``[tool.urllc5g.analyze]``."""
+    """Which findings count where; see ``[tool.urllc5g.analyze]``."""
 
     ignore: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
     baseline: str | None = None
     cache: str | None = None
-    _extra_excludes: tuple[str, ...] = field(default=(), repr=False)
+    allow_env: tuple[str, ...] = DEFAULT_ALLOW_ENV
+    refuse_scenarios: tuple[str, ...] = ()
+    allow_globals: tuple[str, ...] = ()
+    sanctioned_writers: tuple[str, ...] = ()
 
     def is_excluded(self, path: str) -> bool:
-        patterns = self.exclude + self._extra_excludes
-        return any(_glob_match(path, pattern) for pattern in patterns)
+        return any(_glob_match(path, pattern) for pattern in self.exclude)
+
+
+_DISTCHECK_KEYS = {
+    "allow-env": "allow_env",
+    "refuse-scenarios": "refuse_scenarios",
+    "allow-globals": "allow_globals",
+    "sanctioned-writers": "sanctioned_writers",
+}
 
 
 def load_analyze_config(pyproject: str | Path | None = None,
@@ -61,23 +86,31 @@ def load_analyze_config(pyproject: str | Path | None = None,
     table = data.get("tool", {}).get("urllc5g", {}).get("analyze", {})
     if not isinstance(table, dict):
         raise ValueError("[tool.urllc5g.analyze] must be a table")
-    baseline = table.get("baseline")
-    cache = table.get("cache")
-    for key, value in (("baseline", baseline), ("cache", cache)):
-        if value is not None and not isinstance(value, str):
+    kwargs: dict[str, object] = {}
+    for key in ("baseline", "cache"):
+        value = table.get(key)
+        if value is None:
+            continue
+        if not isinstance(value, str):
             raise ValueError(
                 f"[tool.urllc5g.analyze] {key} must be a string")
-    return AnalyzeConfig(
-        ignore=tuple(_as_str_list(table.get("ignore", []), "ignore")),
-        exclude=tuple(_as_str_list(table.get("exclude", []), "exclude")),
-        baseline=baseline,
-        cache=cache,
-    )
+        kwargs[key] = str(path.parent / value)
+    for key in ("ignore", "exclude"):
+        if key in table:
+            kwargs[key] = _as_str_tuple(table[key], key)
+    contract = table.get("distcheck", {})
+    if not isinstance(contract, dict):
+        raise ValueError(
+            "[tool.urllc5g.analyze.distcheck] must be a table")
+    for key, attr in _DISTCHECK_KEYS.items():
+        if key in contract:
+            kwargs[attr] = _as_str_tuple(contract[key], f"distcheck {key}")
+    return AnalyzeConfig(**kwargs)  # type: ignore[arg-type]
 
 
-def _as_str_list(value: object, key: str) -> list[str]:
+def _as_str_tuple(value: object, key: str) -> tuple[str, ...]:
     if (not isinstance(value, list)
             or not all(isinstance(item, str) for item in value)):
         raise ValueError(
             f"[tool.urllc5g.analyze] {key} must be a list of strings")
-    return value
+    return tuple(value)

@@ -1,11 +1,38 @@
-"""Analysis orchestration: load -> resolve -> report.
+"""Analysis orchestration: one project load, four passes, one report.
 
-:func:`analyze_paths` is the one entry point the CLI and tests use:
-it loads the project model (through the incremental cache when
-enabled), runs the unit-inference and purity passes, applies
-``# analyze:`` pragmas, the config ``ignore`` list and the reviewed
-baseline, and returns an :class:`AnalysisReport` whose ``exit_code``
-is the CI gate.
+:func:`analyze_paths` is the one entry point the CLI and tests use.
+It loads the project model once (through the incremental cache when
+enabled) and runs every pass over it:
+
+- **units** (:mod:`.units`) and **purity** (:mod:`.purity`);
+- **detsan** (:mod:`repro.devtools.detsan.ownership`): RNG stream
+  ownership, with the ownership map as its extra;
+- **distcheck** (:mod:`repro.devtools.distcheck.rules`): scenario
+  distributability, with per-scenario certifications as its extra.
+
+The config ``ignore`` list, ``# analyze:`` pragmas and the reviewed
+baseline are applied once, over the findings of every pass.  The
+returned :class:`AnalysisReport` carries the surviving findings and
+the pass extras; its ``exit_code`` is the CI gate.
+
+Distcheck findings are folded into one verdict per scenario:
+
+``certified``
+    no findings anywhere in the scenario's reachability closure;
+``baselined-findings``
+    findings exist but every one is reviewed (pragma, ignore list,
+    or baseline entry);
+``failed``
+    at least one unreviewed finding survives;
+``refused``
+    the scenario is listed in ``refuse-scenarios`` — deliberately
+    outside the distributability contract (its findings are dropped,
+    and a dispatcher must never ship its points off-host).
+
+A finding attributed *only* to refused scenarios is dropped; one
+shared with any certified scenario still gates.  Boundary and digest
+findings with no scenario attribution are program-wide and are never
+droppable.
 """
 
 from __future__ import annotations
@@ -26,12 +53,20 @@ from repro.devtools.analyze.config import AnalyzeConfig
 from repro.devtools.analyze.loader import Project, load_project
 from repro.devtools.analyze.purity import purity_violations
 from repro.devtools.analyze.units import resolve_units, unit_violations
+# Module imports, not names: the pass modules import the analyze
+# package themselves, and either may be the first one imported.
+from repro.devtools.detsan import ownership as detsan
+from repro.devtools.distcheck import rules as distcheck
 
-__all__ = ["ANALYZE_RULES", "AnalysisReport", "analyze_paths",
+__all__ = ["ANALYZE_RULES", "AnalysisReport", "PassExtras",
+           "all_rules",
+           "ScenarioCertification", "analyze_paths",
            "render_analysis_text", "render_analysis_json",
-           "render_analysis_sarif"]
+           "render_analysis_sarif", "render_analysis_dot",
+           "render_analysis_manifest"]
 
-#: Rule id -> one-line description (feeds the SARIF rules array).
+#: Rule id -> one-line description of the units and purity passes;
+#: :func:`all_rules` adds the detsan and distcheck tables.
 ANALYZE_RULES = {
     "cross-unit-arithmetic":
         "additive arithmetic mixes two different time units",
@@ -54,17 +89,54 @@ ANALYZE_RULES = {
 }
 
 
+def all_rules() -> dict[str, str]:
+    """Rule id -> description for every pass (the SARIF rules array).
+
+    Rule ids are unique across passes, so one baseline file and one
+    ``ignore`` list serve them all.
+    """
+    return {**ANALYZE_RULES, **detsan.DETSAN_RULES,
+            **distcheck.DIST_RULES}
+
+#: Manifest schema version; bump on any change to the payload shape.
+MANIFEST_SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class ScenarioCertification:
+    """One scenario's distributability verdict."""
+
+    name: str
+    entry: str
+    status: str  # certified | baselined-findings | failed | refused
+    reachable: int = 0
+    findings: int = 0  # unreviewed findings surviving all filters
+    reviewed: int = 0  # findings removed by ignore/pragma/baseline
+
+
+@dataclass
+class PassExtras:
+    """What the detsan and distcheck passes yield besides findings."""
+
+    ownership: detsan.OwnershipMap
+    certifications: list[ScenarioCertification]
+    #: distcheck findings dropped because only refused scenarios reach them
+    refused_findings: int
+    #: dist-* finding -> names of the scenarios reaching it
+    attribution: dict[Violation, frozenset[str]] = field(repr=False)
+
+
 @dataclass
 class AnalysisReport:
     """The outcome of one whole-program analysis run."""
 
     violations: list[Violation]
-    files_checked: int
+    extras: PassExtras
+    files_checked: int = 0
     parsed: int = 0
     from_cache: int = 0
     suppressed: int = 0
     baselined: int = 0
-    project: Project | None = field(default=None, repr=False)
 
     @property
     def errors(self) -> list[Violation]:
@@ -74,6 +146,10 @@ class AnalysisReport:
     @property
     def exit_code(self) -> int:
         return 1 if self.errors else 0
+
+    def scenarios_for(self, violation: Violation) -> frozenset[str]:
+        """The scenarios whose closure reaches a distcheck finding."""
+        return self.extras.attribution.get(violation, frozenset())
 
 
 def _syntax_violations(project: Project) -> list[Violation]:
@@ -107,13 +183,46 @@ def _apply_pragmas(project: Project, violations: list[Violation]
     return kept, suppressed
 
 
+def _per_scenario_counts(violations: list[Violation],
+                         attribution: dict[Violation, frozenset[str]]
+                         ) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for violation in violations:
+        for name in attribution.get(violation, frozenset()):
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def _certify(cert: distcheck.CertificationMap, refuse: set[str],
+             before: dict[str, int], after: dict[str, int]
+             ) -> list[ScenarioCertification]:
+    """Fold per-scenario finding counts, taken before and after the
+    review filters, into one verdict per scenario."""
+    certifications = []
+    for entry in sorted(cert.entries, key=lambda e: e.name):
+        if entry.name in refuse:
+            status = "refused"
+            found = reviewed = 0
+        else:
+            found = after.get(entry.name, 0)
+            reviewed = before.get(entry.name, 0) - found
+            status = ("failed" if found
+                      else "baselined-findings" if reviewed
+                      else "certified")
+        certifications.append(ScenarioCertification(
+            name=entry.name, entry=entry.qualname, status=status,
+            reachable=cert.closure_sizes.get(entry.name, 0),
+            findings=found, reviewed=reviewed))
+    return certifications
+
+
 def analyze_paths(paths: Iterable[str | Path],
                   config: AnalyzeConfig | None = None,
                   *,
                   baseline: Baseline | None = None,
                   cache_path: str | Path | None = None,
                   use_cache: bool = True) -> AnalysisReport:
-    """Run the whole-program analysis and aggregate a report.
+    """Run every analysis pass and aggregate one report.
 
     ``baseline`` overrides the config's baseline file; ``cache_path``
     overrides the config's cache location; ``use_cache=False`` disables
@@ -129,35 +238,101 @@ def analyze_paths(paths: Iterable[str | Path],
     if cache is not None:
         cache.save()
 
-    tables = resolve_units(project)
+    stream_findings, stream_map = detsan.detsan_violations(project)
+    cert = distcheck.certification_map(project)
+    refuse = set(config.refuse_scenarios)
+    dist_findings: list[Violation] = []
+    attribution: dict[Violation, frozenset[str]] = {}
+    refused_findings = 0
+    for violation, scenarios in distcheck.distcheck_findings(
+            project, config, cert):
+        if scenarios and scenarios <= refuse:
+            refused_findings += 1
+            continue
+        dist_findings.append(violation)
+        attribution[violation] = scenarios
     violations = (_syntax_violations(project)
-                  + unit_violations(project, tables)
-                  + purity_violations(project))
+                  + unit_violations(project, resolve_units(project))
+                  + purity_violations(project)
+                  + stream_findings
+                  + dist_findings)
+    # Findings present before the review filters, per scenario: these
+    # decide certified vs baselined-findings.
+    before = _per_scenario_counts(violations, attribution)
+
     if config.ignore:
         ignored = set(config.ignore)
         violations = [v for v in violations if v.rule_id not in ignored]
     violations, suppressed = _apply_pragmas(project, violations)
-
     if baseline is None and config.baseline is not None:
         baseline = load_baseline(config.baseline)
     baselined = 0
     if baseline is not None:
         violations, baselined = baseline.filter(violations)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
+
+    certifications = _certify(
+        cert, refuse, before, _per_scenario_counts(violations, attribution))
     return AnalysisReport(
         violations=violations,
+        extras=PassExtras(
+            ownership=stream_map,
+            certifications=certifications,
+            refused_findings=refused_findings,
+            attribution=attribution),
         files_checked=project.files_checked,
         parsed=project.parsed,
         from_cache=project.from_cache,
         suppressed=suppressed,
         baselined=baselined,
-        project=project,
     )
 
 
+def _scope_label(scope: str) -> str:
+    """Short display form of a registry-scope key."""
+    head = scope.split(":")[0]
+    parts = head.split(".")
+    return ".".join(parts[-2:]) if len(parts) > 1 else head
+
+
 def render_analysis_text(report: AnalysisReport) -> str:
-    """Human-readable report, one finding per line plus a summary."""
-    lines = [violation.render() for violation in report.violations]
+    """Human-readable report: the pass extras, then one finding per
+    line, then a summary."""
+    lines: list[str] = []
+    ownership = report.extras.ownership
+    if ownership.streams or ownership.acquisitions:
+        lines.append("stream ownership map "
+                     f"({len(ownership.streams)} stream(s), "
+                     f"{ownership.resolved}/{ownership.acquisitions} "
+                     "acquisition(s) resolved):")
+        for info in ownership.streams:
+            flags = "".join((
+                " [buffered]" if info.buffered else "",
+                " [shared]" if info.shared else "",
+            ))
+            owners = ", ".join(info.owners) or "(unconsumed)"
+            lines.append(f"  {info.template:<20} -> {owners}{flags}  "
+                         f"(scope {_scope_label(info.scope)})")
+        lines.append("")
+    if report.extras.certifications:
+        lines.append(f"scenario certification "
+                     f"({len(report.extras.certifications)} scenario(s)):")
+        for cert in report.extras.certifications:
+            if cert.status == "refused":
+                detail = "(listed in refuse-scenarios)"
+            else:
+                detail = (f"({cert.reachable} reachable function(s), "
+                          f"{cert.findings} finding(s), "
+                          f"{cert.reviewed} reviewed)")
+            lines.append(f"  {cert.name:<22} {cert.status:<20} {detail}")
+        lines.append("")
+    for violation in report.violations:
+        lines.append(violation.render())
+        if violation.rule_id in distcheck.DIST_RULES:
+            scenarios = sorted(report.scenarios_for(violation))
+            lines.append("    reached from: "
+                         + (", ".join(scenarios) if scenarios
+                            else "(program-wide)"))
     summary = (f"{report.files_checked} file(s) analyzed "
                f"({report.parsed} parsed, {report.from_cache} from "
                f"cache), {len(report.violations)} finding(s)")
@@ -166,6 +341,9 @@ def render_analysis_text(report: AnalysisReport) -> str:
         extras.append(f"{report.suppressed} suppressed")
     if report.baselined:
         extras.append(f"{report.baselined} baselined")
+    if report.extras.refused_findings:
+        extras.append(f"{report.extras.refused_findings} on refused "
+                      "scenarios")
     if extras:
         summary += " (" + ", ".join(extras) + ")"
     lines.append(summary)
@@ -174,13 +352,42 @@ def render_analysis_text(report: AnalysisReport) -> str:
 
 def render_analysis_json(report: AnalysisReport) -> str:
     """Machine-readable report for tooling."""
+    ownership = report.extras.ownership
     payload = {
         "files_checked": report.files_checked,
         "parsed": report.parsed,
         "from_cache": report.from_cache,
         "suppressed": report.suppressed,
         "baselined": report.baselined,
+        "refused_findings": report.extras.refused_findings,
         "exit_code": report.exit_code,
+        "resolution": {
+            "acquisitions": ownership.acquisitions,
+            "resolved": ownership.resolved,
+            "rate": ownership.resolution_rate,
+        },
+        "streams": [
+            {
+                "template": info.template,
+                "scope": info.scope,
+                "owners": info.owners,
+                "sites": [f"{path}:{line}" for path, line in info.sites],
+                "buffered": info.buffered,
+                "shared": info.shared,
+            }
+            for info in ownership.streams
+        ],
+        "scenarios": [
+            {
+                "name": cert.name,
+                "entry": cert.entry,
+                "status": cert.status,
+                "reachable_functions": cert.reachable,
+                "findings": cert.findings,
+                "reviewed_findings": cert.reviewed,
+            }
+            for cert in report.extras.certifications
+        ],
         "violations": [
             {
                 "path": violation.path,
@@ -189,6 +396,7 @@ def render_analysis_json(report: AnalysisReport) -> str:
                 "rule": violation.rule_id,
                 "severity": str(violation.severity),
                 "message": violation.message,
+                "scenarios": sorted(report.scenarios_for(violation)),
             }
             for violation in report.violations
         ],
@@ -201,5 +409,77 @@ def render_analysis_sarif(report: AnalysisReport) -> str:
     from repro.devtools.sarif import render_sarif
 
     return render_sarif(report.violations, tool_name="urllc5g-analyze",
-                        rules=ANALYZE_RULES,
+                        rules=all_rules(),
                         information_uri="docs/ANALYSIS.md")
+
+
+def render_analysis_dot(report: AnalysisReport) -> str:
+    """The stream ownership graph in Graphviz dot, for docs.
+
+    Stream nodes are ellipses (doubled border when a buffered sampler
+    claims the stream exclusively), consumer components are boxes, and
+    an edge means "this component draws from this stream".  Output is
+    deterministic so the generated graph can live in version control.
+    """
+    lines = [
+        "// Generated by `urllc5g analyze src/ --format dot`.",
+        "digraph stream_ownership {",
+        "  rankdir=LR;",
+        '  node [fontname="Helvetica", fontsize=11];',
+        '  edge [fontname="Helvetica", fontsize=9];',
+    ]
+    owners: dict[str, str] = {}
+    for index, info in enumerate(report.extras.ownership.streams):
+        stream_id = f"stream_{index}"
+        style = ["shape=ellipse"]
+        if info.buffered:
+            style.append("peripheries=2")
+        if info.shared:
+            style.append('style=dashed')
+        scope = _scope_label(info.scope)
+        lines.append(f'  {stream_id} [label="{info.template}\\n({scope})", '
+                     f'{", ".join(style)}];')
+        for owner in info.owners:
+            owner_id = owners.get(owner)
+            if owner_id is None:
+                owner_id = f"owner_{len(owners)}"
+                owners[owner] = owner_id
+                short = ".".join(owner.split(".")[-2:])
+                lines.append(f'  {owner_id} [label="{short}", '
+                             'shape=box];')
+            attrs = ' [label="buffered"]' if info.buffered else ""
+            lines.append(f"  {stream_id} -> {owner_id}{attrs};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def render_analysis_manifest(report: AnalysisReport) -> str:
+    """The per-scenario certification manifest.
+
+    The dispatcher contract: a point may only be shipped off-host when
+    its scenario's status is ``certified`` or ``baselined-findings``.
+    Deterministic (sorted keys, no timestamps) so the file is diffable
+    and cacheable in CI artifacts.  ``tool`` names the manifest format
+    that :mod:`repro.devtools.distcheck.manifest` reads.
+    """
+    from repro.devtools.sarif import TOOL_VERSION
+
+    payload = {
+        "tool": "urllc5g-distcheck",
+        "tool_version": TOOL_VERSION,
+        "schema_version": MANIFEST_SCHEMA_VERSION,
+        "exit_code": report.exit_code,
+        "scenarios": {
+            cert.name: {
+                "entry": cert.entry,
+                "status": cert.status,
+                "distributable": cert.status in (
+                    "certified", "baselined-findings"),
+                "reachable_functions": cert.reachable,
+                "findings": cert.findings,
+                "reviewed_findings": cert.reviewed,
+            }
+            for cert in report.extras.certifications
+        },
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -4,12 +4,14 @@ The determinism contract says every ``RngRegistry`` stream has exactly
 one well-ordered consumer (docs/PERFORMANCE.md).  This package checks
 it from both sides:
 
-- **Static** (:mod:`.engine`, :mod:`.ownership`, :mod:`.resolver`):
-  a whole-program pass over the analyze project model that resolves
-  every stream-name literal/template, computes the stream → component
+- **Static** (:mod:`.ownership`, :mod:`.resolver`): the detsan pass of
+  ``urllc5g analyze``.  It resolves every stream-name literal/template
+  over the analyze project model, computes the stream → component
   ownership map, and reports sharing, dead streams, unresolvable
   names, buffered-stream escapes, and draws reachable from unordered
-  iteration.  Run it with ``urllc5g detsan``.
+  iteration.  :mod:`.ownership` is not re-exported here: it needs the
+  analyzer, while the linter and the runtime side import this package
+  without it.
 - **Dynamic** (:mod:`repro.sim.sanitize`, re-exported here, plus
   :mod:`.runtime`): ``URLLC5G_SANITIZE=1`` wraps vended generators in
   recording proxies that enforce exclusive claims at runtime and stay
@@ -19,39 +21,19 @@ it from both sides:
 from repro.sim.sanitize import (DeterminismViolation, RecordingGenerator,
                                 SanitizeLog, sanitize_active,
                                 sanitizer_session)
-from repro.devtools.detsan.config import DetsanConfig, load_detsan_config
-from repro.devtools.detsan.engine import (DETSAN_RULES, DetsanReport,
-                                          detsan_paths, render_detsan_dot,
-                                          render_detsan_json,
-                                          render_detsan_sarif,
-                                          render_detsan_text)
-from repro.devtools.detsan.ownership import (OwnershipMap, StreamInfo,
-                                             stream_ownership)
 from repro.devtools.detsan.resolver import (DYNAMIC, is_resolved,
                                             resolve_stream_name)
 from repro.devtools.detsan.runtime import compare_draw_logs, verify_replay
 
 __all__ = [
-    "DETSAN_RULES",
     "DYNAMIC",
     "DeterminismViolation",
-    "DetsanConfig",
-    "DetsanReport",
-    "OwnershipMap",
     "RecordingGenerator",
     "SanitizeLog",
-    "StreamInfo",
     "compare_draw_logs",
-    "detsan_paths",
     "is_resolved",
-    "load_detsan_config",
-    "render_detsan_dot",
-    "render_detsan_json",
-    "render_detsan_sarif",
-    "render_detsan_text",
     "resolve_stream_name",
     "sanitize_active",
     "sanitizer_session",
-    "stream_ownership",
     "verify_replay",
 ]

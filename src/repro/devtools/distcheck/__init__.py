@@ -1,29 +1,21 @@
-"""``urllc5g distcheck`` — distributability certification.
+"""Distributability certification: the distcheck pass and its manifest.
 
-Whole-program pass over the analyze project model that certifies each
-``@scenario``-registered campaign entry point as safe to execute on a
-remote host: no reachable writes to module-level mutable state, no
-undeclared host-state observation, nothing unpicklable crossing the
-pool boundary, order-stable digest material, and no filesystem writes
-outside the sanctioned artifact/journal APIs.  Findings ride the same
-``Violation``/pragma/baseline/SARIF machinery as lint, analyze, and
-detsan; the per-scenario verdicts are emitted as
-``distcheck-manifest.json`` for the multi-host dispatcher.  See the
-"Distributability contract" chapter in docs/ANALYSIS.md.
+The distcheck pass of ``urllc5g analyze`` (:mod:`.rules`) certifies
+each ``@scenario``-registered campaign entry point as safe to execute
+on a remote host: no reachable writes to module-level mutable state,
+no undeclared host-state observation, nothing unpicklable crossing
+the pool boundary, order-stable digest material, and no filesystem
+writes outside the sanctioned artifact/journal APIs.  The
+per-scenario verdicts are written to ``distcheck-manifest.json``
+(``urllc5g analyze --manifest``), which the campaign dispatcher reads
+through :mod:`.manifest`.  See the "Distributability contract"
+chapter in docs/ANALYSIS.md.
+
+Only the manifest reader is re-exported here: the dispatcher imports
+this package at runtime, and the reader must load without the
+analyzer.  Import the rules from :mod:`.rules` directly.
 """
 
-from repro.devtools.distcheck.config import (DistcheckConfig,
-                                             load_distcheck_config)
-from repro.devtools.distcheck.engine import (
-    DIST_RULES,
-    DistcheckReport,
-    ScenarioCertification,
-    distcheck_paths,
-    render_distcheck_json,
-    render_distcheck_manifest,
-    render_distcheck_sarif,
-    render_distcheck_text,
-)
 from repro.devtools.distcheck.manifest import (
     DISTRIBUTABLE_STATUSES,
     DistManifest,
@@ -31,29 +23,11 @@ from repro.devtools.distcheck.manifest import (
     ScenarioVerdict,
     load_manifest,
 )
-from repro.devtools.distcheck.rules import (CertificationMap,
-                                            ScenarioEntry,
-                                            certification_map,
-                                            find_scenario_entries)
 
 __all__ = [
-    "DIST_RULES",
     "DISTRIBUTABLE_STATUSES",
-    "CertificationMap",
     "DistManifest",
-    "DistcheckConfig",
-    "DistcheckReport",
     "ManifestError",
-    "ScenarioCertification",
-    "ScenarioEntry",
     "ScenarioVerdict",
-    "certification_map",
-    "distcheck_paths",
-    "find_scenario_entries",
-    "load_distcheck_config",
     "load_manifest",
-    "render_distcheck_json",
-    "render_distcheck_manifest",
-    "render_distcheck_sarif",
-    "render_distcheck_text",
 ]

@@ -7,8 +7,8 @@ including class closures for every type it constructs.  Each
 distributability hazard the loader extracted (host-state reads,
 module-global writes, filesystem mutations, boundary crossings,
 digest-form hazards) is attributed to the set of scenarios whose
-closure reaches the offending function; the engine then certifies,
-baselines, or refuses each scenario from that attribution.
+closure reaches the offending function; the analyze driver then
+certifies, baselines, or refuses each scenario from that attribution.
 
 Violation messages deliberately never name scenarios: the reviewed
 baseline fingerprints ``rule|path|message``, and attribution (which
@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
+from repro.devtools.analyze.config import AnalyzeConfig
 from repro.devtools.analyze.loader import (ClassSummary, FunctionSummary,
                                            Project)
 from repro.devtools.analyze.purity import _short
-from repro.devtools.distcheck.config import DistcheckConfig
 from repro.devtools.lintkit.core import Severity, Violation
 
 __all__ = ["DIST_RULES", "ScenarioEntry", "CertificationMap",
@@ -56,6 +56,10 @@ DIST_RULES = {
 #: Functions whose *name* marks them as digest producers; their
 #: closure is the dist-digest-instability domain.
 _DIGEST_NAME_MARKERS = ("digest", "fingerprint")
+#: The decorator that marks a remote-executable entry point.
+ENTRY_DECORATORS = ("repro.runner.scenarios.scenario",)
+#: Functions every remote point executes besides the scenario itself.
+SHARED_ROOTS = ("repro.runner.scenarios.run_point",)
 
 
 @dataclass(frozen=True)
@@ -81,11 +85,10 @@ class CertificationMap:
     digest_closure: frozenset[str]
 
 
-def find_scenario_entries(project: Project,
-                          config: DistcheckConfig) -> list[ScenarioEntry]:
+def find_scenario_entries(project: Project) -> list[ScenarioEntry]:
     """Every function carrying a registered entry decorator."""
     targets = {project._resolve(name) or name
-               for name in config.entry_decorators}
+               for name in ENTRY_DECORATORS}
     entries: list[ScenarioEntry] = []
     seen: set[str] = set()
     for qualname in sorted(project.functions):
@@ -132,11 +135,9 @@ def _reachable(project: Project, roots: list[str]) -> set[str]:
     return seen
 
 
-def certification_map(project: Project,
-                      config: DistcheckConfig) -> CertificationMap:
-    entries = find_scenario_entries(project, config)
-    shared = [project._resolve(root) or root
-              for root in config.shared_roots]
+def certification_map(project: Project) -> CertificationMap:
+    entries = find_scenario_entries(project)
+    shared = [project._resolve(root) or root for root in SHARED_ROOTS]
     reached_by: dict[str, set[str]] = {}
     closure_sizes: dict[str, int] = {}
     for entry in entries:
@@ -148,15 +149,13 @@ def certification_map(project: Project,
         qualname for qualname, summary in project.functions.items()
         if any(marker in summary.name.lower()
                for marker in _DIGEST_NAME_MARKERS)]
-    digest_roots.extend(project._resolve(root) or root
-                        for root in config.digest_roots)
     return CertificationMap(
         entries=entries,
         reached_by={qualname: frozenset(names)
                     for qualname, names in reached_by.items()},
         closure_sizes=closure_sizes,
         digest_closure=frozenset(
-            _reachable(project, sorted(set(digest_roots)))),
+            _reachable(project, sorted(digest_roots))),
     )
 
 
@@ -165,14 +164,14 @@ def _matches(name: str, patterns: tuple[str, ...]) -> bool:
 
 
 def distcheck_findings(
-        project: Project, config: DistcheckConfig,
+        project: Project, config: AnalyzeConfig,
         cert: CertificationMap
 ) -> list[tuple[Violation, frozenset[str]]]:
     """All rule findings, each paired with its scenario attribution.
 
     Boundary and digest findings apply program-wide (the executor and
     the cache serve every scenario), so their attribution may be empty
-    — the engine treats those as never-refusable.
+    — the analyze driver treats those as never-refusable.
     """
     findings: list[tuple[Violation, frozenset[str]]] = []
     str_constants = _project_str_constants(project)
@@ -211,7 +210,7 @@ def _project_str_constants(project: Project) -> dict[str, str]:
 def _scenario_scoped(
         findings: list[tuple[Violation, frozenset[str]]],
         summary: FunctionSummary, scenarios: frozenset[str],
-        config: DistcheckConfig,
+        config: AnalyzeConfig,
         str_constants: dict[str, str]) -> None:
     qualname = summary.qualname
     for record in summary.host_state:
@@ -247,7 +246,7 @@ def _scenario_scoped(
 
 
 def _host_state_message(qualname: str, record: dict,
-                        config: DistcheckConfig,
+                        config: AnalyzeConfig,
                         str_constants: dict[str, str]) -> str | None:
     kind = record["kind"]
     short = _short(qualname)

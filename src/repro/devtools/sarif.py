@@ -1,15 +1,15 @@
-"""SARIF 2.1.0 output shared by all four ``urllc5g`` analysis verbs.
+"""SARIF 2.1.0 output shared by the ``urllc5g lint`` and ``analyze`` verbs.
 
 `SARIF <https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html>`_
 is the interchange format code scanners upload to review UIs; emitting
-it lets lint, analyze, detsan, and distcheck feed GitHub code scanning
-and any SARIF viewer.  The writer is a pure function from violations +
+it lets lint and every analyze pass feed GitHub code scanning and any
+SARIF viewer.  The writer is a pure function from violations +
 rule metadata to the document, so tests can assert on the exact shape.
 
 Every verb emits the same driver metadata shape — ``urllc5g-<verb>``
 tool name, the shared :data:`TOOL_VERSION`, and a sorted,
-index-referenced rule table — so the four CI artifacts merge cleanly
-in one viewer.
+index-referenced rule table — so the CI artifacts merge cleanly in
+one viewer.
 """
 
 from __future__ import annotations

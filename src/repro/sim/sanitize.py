@@ -3,11 +3,12 @@
 The determinism contract (docs/PERFORMANCE.md, docs/ROBUSTNESS.md) says
 every registry stream has exactly one well-ordered consumer; buffered
 samplers additionally take *exclusive* ownership of their stream.  The
-static side of that contract is checked by ``urllc5g detsan``; this
-module is the dynamic side.  When sanitizing is active (environment
-variable ``URLLC5G_SANITIZE=1``, ``urllc5g bench --sanitize``, or a
-:func:`sanitizer_session`), :class:`~repro.sim.rng.RngRegistry` wraps
-every generator it vends in a :class:`RecordingGenerator` proxy that
+static side of that contract is checked by the detsan pass of
+``urllc5g analyze``; this module is the dynamic side.  When sanitizing
+is active (environment variable ``URLLC5G_SANITIZE=1``, ``urllc5g
+bench --sanitize``, or a :func:`sanitizer_session`),
+:class:`~repro.sim.rng.RngRegistry` wraps every generator it vends in
+a :class:`RecordingGenerator` proxy that
 
 - logs every draw as (stream, consumer qualname, sim time, draw count),
 - raises :exc:`DeterminismViolation` when a stream claimed exclusively
@@ -79,7 +80,7 @@ class DeterminismViolation(RuntimeError):
     :class:`~repro.sim.sampling.BufferedSampler` when ``sample()`` is
     called with a Generator it does not own.  Carries the stream name
     and both consumer qualnames so dynamic reports line up with the
-    static ``urllc5g detsan`` output.
+    static detsan-pass output of ``urllc5g analyze``.
     """
 
     def __init__(self, message: str, *, stream: str | None = None,

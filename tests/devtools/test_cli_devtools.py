@@ -1,7 +1,9 @@
-"""CLI wiring: ``urllc5g lint``/``analyze``/``distcheck``/``check``."""
+"""CLI wiring: ``urllc5g lint``/``analyze``/``check``."""
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 
@@ -104,9 +106,36 @@ def test_analyze_missing_path_is_an_error(capsys):
     assert "no such path" in capsys.readouterr().err
 
 
+def test_analyze_config_anchors_paths_outside_the_cwd(
+        tmp_path, monkeypatch, capsys):
+    project = tmp_path / "proj"
+    (project / "src").mkdir(parents=True)
+    (project / "src" / "mod.py").write_text(
+        "def f(a_ms, b_us):\n    return a_ms + b_us\n", encoding="utf-8")
+    (project / "pyproject.toml").write_text(
+        "[tool.urllc5g.analyze]\n"
+        'baseline = "accepted.json"\n'
+        'cache = ".cache.json"\n', encoding="utf-8")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    argv = ["analyze", str(project / "src"),
+            "--config", str(project / "pyproject.toml")]
+    assert main(argv) == 1
+    assert main(argv + ["--write-baseline",
+                        str(project / "accepted.json")]) == 0
+    capsys.readouterr()
+    # The configured baseline and cache resolve next to the pyproject,
+    # not in the invocation cwd.
+    assert main(argv) == 0
+    assert "1 baselined" in capsys.readouterr().out
+    assert (project / ".cache.json").is_file()
+    assert list(elsewhere.iterdir()) == []
+
+
 def test_distcheck_src_certifies_and_writes_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
-    code = main(["distcheck", str(REPO_ROOT / "src"),
+    code = main(["analyze", str(REPO_ROOT / "src"),
                  "--config", str(REPO_ROOT / "pyproject.toml"),
                  "--manifest", str(manifest)])
     out = capsys.readouterr().out
@@ -119,21 +148,39 @@ def test_distcheck_src_certifies_and_writes_manifest(tmp_path, capsys):
                for entry in payload["scenarios"].values())
 
 
+def test_checked_in_graph_and_manifest_match_src(tmp_path, capsys):
+    # docs/stream-ownership.dot and distcheck-manifest.json are
+    # rendered from src/; a source change that moves either must
+    # regenerate them (see docs/ANALYSIS.md).
+    manifest = tmp_path / "manifest.json"
+    code = main(["analyze", str(REPO_ROOT / "src"),
+                 "--config", str(REPO_ROOT / "pyproject.toml"),
+                 "--format", "dot", "--manifest", str(manifest)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (REPO_ROOT / "docs" / "stream-ownership.dot").read_text(
+        encoding="utf-8")
+    assert manifest.read_bytes() == \
+        (REPO_ROOT / "distcheck-manifest.json").read_bytes()
+
+
+HOST_STATEFUL_PROBE = (
+    "import os\n"
+    "\n"
+    "from repro.runner.scenarios import scenario\n"
+    "\n"
+    "\n"
+    '@scenario("env-probe")\n'
+    "def env_probe(params, seed):\n"
+    '    return {"tag": os.environ.get("EXPERIMENT_TAG")}\n')
+
+
 def test_distcheck_host_stateful_scenario_exits_one(tmp_path, capsys):
     # The CI regression contract: a scenario reaching undeclared host
     # state must fail certification with exit code 1.
-    (tmp_path / "probe.py").write_text(
-        "import os\n"
-        "\n"
-        "from repro.runner.scenarios import scenario\n"
-        "\n"
-        "\n"
-        '@scenario("env-probe")\n'
-        "def env_probe(params, seed):\n"
-        '    return {"tag": os.environ.get("EXPERIMENT_TAG")}\n',
-        encoding="utf-8")
-    code = main(["distcheck", str(tmp_path), "--no-config",
-                 "--no-cache", "--no-manifest"])
+    (tmp_path / "probe.py").write_text(HOST_STATEFUL_PROBE,
+                                       encoding="utf-8")
+    code = main(["analyze", str(tmp_path), "--no-config", "--no-cache"])
     out = capsys.readouterr().out
     assert code == 1
     assert "dist-host-state" in out
@@ -153,25 +200,31 @@ def test_distcheck_write_then_use_baseline(tmp_path, capsys):
         "    return {\"count\": len(_SEEN)}\n",
         encoding="utf-8")
     baseline = tmp_path / "baseline.json"
-    code = main(["distcheck", str(tmp_path), "--no-config", "--no-cache",
+    code = main(["analyze", str(tmp_path), "--no-config", "--no-cache",
                  "--write-baseline", str(baseline)])
     assert code == 0
     assert "wrote" in capsys.readouterr().out
-    code = main(["distcheck", str(tmp_path), "--no-config", "--no-cache",
-                 "--no-manifest", "--baseline", str(baseline)])
+    code = main(["analyze", str(tmp_path), "--no-config", "--no-cache",
+                 "--baseline", str(baseline)])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "baselined-findings" in out
 
 
+@pytest.mark.parametrize("verb", ["detsan", "distcheck"])
+def test_folded_verbs_are_gone(verb, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([verb, "src"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_sarif_metadata_is_unified_across_all_verbs(capsys):
     drivers = {}
-    for verb in ("lint", "analyze", "detsan", "distcheck"):
+    for verb in ("lint", "analyze"):
         argv = [verb, str(CROSSMOD), "--no-config", "--format", "sarif"]
         if verb != "lint":
             argv.append("--no-cache")
-        if verb == "distcheck":
-            argv.append("--no-manifest")
         main(argv)
         document = json.loads(capsys.readouterr().out)
         drivers[verb] = document["runs"][0]["tool"]["driver"]
@@ -190,10 +243,23 @@ def test_check_all_aggregates_the_four_gates(capsys, monkeypatch):
     code = main(["check", "--all"])
     out = capsys.readouterr().out
     assert code == 0, out
-    for verb in ("lint", "analyze", "detsan", "distcheck"):
+    for verb in ("lint", "analyze"):
         assert verb in out
     assert "FAIL" not in out
+    assert "detsan streams:" in out
     assert "distcheck scenarios:" in out
+
+
+def test_check_all_fails_on_a_host_stateful_scenario(
+        tmp_path, capsys, monkeypatch):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "probe.py").write_text(HOST_STATEFUL_PROBE,
+                                               encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = main(["check", "--all"])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    assert "1 failed" in out
 
 
 def test_check_determinism_passes(capsys):

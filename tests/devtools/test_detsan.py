@@ -1,22 +1,21 @@
-"""DetSan static pass: ownership map, the five rules, renderers."""
+"""DetSan pass of ``analyze``: ownership map, the five rules, renderers."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.analyze import write_baseline
-from repro.devtools.analyze.baseline import Baseline, fingerprint
-from repro.devtools.detsan import (
-    DeterminismViolation,
-    detsan_paths,
-    load_detsan_config,
-    render_detsan_dot,
-    render_detsan_json,
-    render_detsan_sarif,
-    render_detsan_text,
-    verify_replay,
+from repro.devtools.analyze import (
+    analyze_paths,
+    load_analyze_config,
+    render_analysis_dot,
+    render_analysis_json,
+    render_analysis_sarif,
+    render_analysis_text,
+    write_baseline,
 )
+from repro.devtools.analyze.baseline import Baseline, fingerprint
+from repro.devtools.detsan import DeterminismViolation, verify_replay
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -57,7 +56,7 @@ def run():
 
 def test_shared_stream_without_contract_is_flagged(tmp_path):
     write_tree(tmp_path, {"sharedmod.py": SHARED})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert rule_ids(report) == {"detsan-shared-stream"}
     (violation,) = report.violations
     assert "'noise'" in violation.message
@@ -70,9 +69,9 @@ def test_shared_contract_comment_accepts_the_sharing(tmp_path):
         'registry.stream("noise")',
         'registry.stream("noise")  # detsan: shared')
     write_tree(tmp_path, {"sharedmod.py": contracted})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.violations == []
-    info = next(s for s in report.ownership.streams
+    info = next(s for s in report.extras.ownership.streams
                 if s.template == "noise")
     assert info.shared
     assert len(info.owners) == 2
@@ -83,11 +82,11 @@ def test_unresolvable_dynamic_name_is_flagged(tmp_path):
         "def acquire(registry, name):\n"
         "    return registry.stream(name)\n"
     )})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert rule_ids(report) == {"detsan-unresolved-stream"}
-    assert report.ownership.acquisitions == 1
-    assert report.ownership.resolved == 0
-    assert report.ownership.resolution_rate == 0.0
+    assert report.extras.ownership.acquisitions == 1
+    assert report.extras.ownership.resolved == 0
+    assert report.extras.ownership.resolution_rate == 0.0
 
 
 def test_literal_prefix_fstring_resolves_to_a_template(tmp_path):
@@ -96,11 +95,11 @@ def test_literal_prefix_fstring_resolves_to_a_template(tmp_path):
         '    rng = registry.stream(f"ue{ue_id}")\n'
         "    return rng.random()\n"
     )})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.violations == []
-    (info,) = report.ownership.streams
+    (info,) = report.extras.ownership.streams
     assert info.template == "ue{*}"
-    assert report.ownership.resolution_rate == 1.0
+    assert report.extras.ownership.resolution_rate == 1.0
 
 
 ESCAPED = """\
@@ -119,7 +118,7 @@ class Node:
 
 def test_escaped_buffered_stream_is_flagged(tmp_path):
     write_tree(tmp_path, {"escaped.py": ESCAPED})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert "detsan-buffered-escape" in rule_ids(report)
     (violation,) = [v for v in report.violations
                     if v.rule_id == "detsan-buffered-escape"]
@@ -149,7 +148,7 @@ def fan_out(rng, items):
 
 def test_draws_under_unordered_iteration_are_flagged(tmp_path):
     write_tree(tmp_path, {"unordered.py": UNORDERED})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     hits = [v for v in report.violations
             if v.rule_id == "detsan-unordered-draw"]
     assert len(hits) == 2
@@ -158,16 +157,19 @@ def test_draws_under_unordered_iteration_are_flagged(tmp_path):
     assert "one_draw" in transitive.message  # names the tainted callee
 
 
+DEAD = """\
+from repro.sim.rng import RngRegistry
+
+def setup():
+    registry = RngRegistry(0)
+    spare = registry.stream('spare')
+    return registry
+"""
+
+
 def test_acquired_but_never_drawn_stream_is_flagged(tmp_path):
-    write_tree(tmp_path, {"dead.py": (
-        "from repro.sim.rng import RngRegistry\n"
-        "\n"
-        "def setup():\n"
-        "    registry = RngRegistry(0)\n"
-        "    spare = registry.stream('spare')\n"
-        "    return registry\n"
-    )})
-    report = detsan_paths([tmp_path], use_cache=False)
+    write_tree(tmp_path, {"dead.py": DEAD})
+    report = analyze_paths([tmp_path], use_cache=False)
     assert rule_ids(report) == {"detsan-unused-stream"}
     (violation,) = report.violations
     assert "'spare'" in violation.message
@@ -183,18 +185,18 @@ def test_analyze_pragma_suppresses_detsan_rules(tmp_path):
         'noise = registry.stream("noise")'
         '  # analyze: disable=detsan-shared-stream')
     write_tree(tmp_path, {"sharedmod.py": suppressed})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.violations == []
     assert report.suppressed == 1
 
 
 def test_baseline_roundtrip_filters_known_findings(tmp_path):
     write_tree(tmp_path, {"sharedmod.py": SHARED})
-    report = detsan_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.exit_code == 1
     baseline_file = tmp_path / "baseline.json"
     write_baseline(baseline_file, report.violations)
-    rerun = detsan_paths(
+    rerun = analyze_paths(
         [tmp_path], use_cache=False,
         baseline=Baseline({fingerprint(v) for v in report.violations}))
     assert rerun.violations == []
@@ -202,20 +204,21 @@ def test_baseline_roundtrip_filters_known_findings(tmp_path):
     assert rerun.exit_code == 0
 
 
-def test_config_reads_detsan_table(tmp_path):
+def test_analyze_table_configures_the_detsan_pass(tmp_path):
+    write_tree(tmp_path, {"dead.py": DEAD})
     pyproject = tmp_path / "pyproject.toml"
     pyproject.write_text(
-        "[tool.urllc5g.detsan]\n"
+        "[tool.urllc5g.analyze]\n"
         'baseline = "accepted.json"\n'
-        'cache = ".cache.json"\n'
         'ignore = ["detsan-unused-stream"]\n',
         encoding="utf-8")
-    config = load_detsan_config(pyproject=pyproject)
+    config = load_analyze_config(pyproject=pyproject)
     # Relative paths anchor at the pyproject's directory, so an
     # explicit --config works from any invocation cwd.
     assert config.baseline == str(tmp_path / "accepted.json")
-    assert config.cache == str(tmp_path / ".cache.json")
-    assert config.ignore == ("detsan-unused-stream",)
+    report = analyze_paths([tmp_path], config, use_cache=False)
+    assert report.violations == []
+    assert analyze_paths([tmp_path], use_cache=False).violations
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +226,8 @@ def test_config_reads_detsan_table(tmp_path):
 # ----------------------------------------------------------------------
 def test_text_report_shows_map_and_resolution(tmp_path):
     write_tree(tmp_path, {"sharedmod.py": SHARED})
-    report = detsan_paths([tmp_path], use_cache=False)
-    text = render_detsan_text(report)
+    report = analyze_paths([tmp_path], use_cache=False)
+    text = render_analysis_text(report)
     assert "stream ownership map" in text
     assert "1/1 acquisition(s) resolved" in text
     assert "noise" in text
@@ -232,8 +235,8 @@ def test_text_report_shows_map_and_resolution(tmp_path):
 
 def test_json_report_carries_streams_and_rate(tmp_path):
     write_tree(tmp_path, {"sharedmod.py": SHARED})
-    payload = json.loads(render_detsan_json(
-        detsan_paths([tmp_path], use_cache=False)))
+    payload = json.loads(render_analysis_json(
+        analyze_paths([tmp_path], use_cache=False)))
     assert payload["resolution"] == {
         "acquisitions": 1, "resolved": 1, "rate": 1.0}
     (stream,) = payload["streams"]
@@ -242,21 +245,23 @@ def test_json_report_carries_streams_and_rate(tmp_path):
     assert payload["exit_code"] == 1
 
 
-def test_sarif_report_uses_detsan_tool_name(tmp_path):
+def test_sarif_report_carries_detsan_results(tmp_path):
     write_tree(tmp_path, {"sharedmod.py": SHARED})
-    doc = json.loads(render_detsan_sarif(
-        detsan_paths([tmp_path], use_cache=False)))
+    doc = json.loads(render_analysis_sarif(
+        analyze_paths([tmp_path], use_cache=False)))
     run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "urllc5g-detsan"
+    assert run["tool"]["driver"]["name"] == "urllc5g-analyze"
+    listed = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
+    assert "detsan-buffered-escape" in listed
     assert [r["ruleId"] for r in run["results"]] == \
         ["detsan-shared-stream"]
 
 
 def test_dot_graph_is_deterministic_and_marks_buffering(tmp_path):
     write_tree(tmp_path, {"escaped.py": ESCAPED, "sharedmod.py": SHARED})
-    report = detsan_paths([tmp_path], use_cache=False)
-    dot = render_detsan_dot(report)
-    assert dot == render_detsan_dot(report)
+    report = analyze_paths([tmp_path], use_cache=False)
+    dot = render_analysis_dot(report)
+    assert dot == render_analysis_dot(report)
     assert dot.startswith("// Generated by")
     assert "digraph stream_ownership" in dot
     assert "shape=box" in dot  # consumer components
@@ -295,21 +300,22 @@ def test_verify_replay_raises_on_draw_count_divergence():
 # acceptance: the repository itself
 # ----------------------------------------------------------------------
 def test_src_tree_is_detsan_clean_against_reviewed_baseline():
-    config = load_detsan_config(pyproject=REPO / "pyproject.toml")
-    report = detsan_paths([REPO / "src"], config, use_cache=False)
-    assert report.exit_code == 0, render_detsan_text(report)
+    config = load_analyze_config(pyproject=REPO / "pyproject.toml")
+    report = analyze_paths([REPO / "src"], config, use_cache=False)
+    assert report.exit_code == 0, render_analysis_text(report)
     # Every acceptance threshold from the determinism contract:
     # >= 95% of stream names resolve statically, and the only accepted
     # debt is the reviewed baseline (no stray pragmas).
-    assert report.ownership.resolution_rate >= 0.95
+    assert report.extras.ownership.resolution_rate >= 0.95
     assert report.suppressed == 0
-    assert report.baselined == 1  # the AirLink escape, reviewed
+    # The AirLink escape, plus distcheck's two sanitizer slots.
+    assert report.baselined == 3
 
 
 def test_src_ownership_map_covers_the_core_streams():
-    report = detsan_paths([REPO / "src"], use_cache=False)
+    report = analyze_paths([REPO / "src"], use_cache=False)
     by_template = {info.template: info
-                   for info in report.ownership.streams}
+                   for info in report.extras.ownership.streams}
     assert "upf" in by_template and by_template["upf"].buffered
     assert "link" in by_template and by_template["link"].buffered
     assert by_template["technologies"].shared

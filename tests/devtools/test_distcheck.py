@@ -1,19 +1,22 @@
-"""Distcheck: scenario closure, the five dist-* rules, certification."""
+"""Distcheck pass of ``analyze``: scenario closure, the five dist-*
+rules, certification."""
 
 import json
 from pathlib import Path
 
-from repro.devtools.analyze import write_baseline
-from repro.devtools.analyze.baseline import Baseline, fingerprint
-from repro.devtools.distcheck import (
-    DistcheckConfig,
-    distcheck_paths,
-    load_distcheck_config,
-    render_distcheck_json,
-    render_distcheck_manifest,
-    render_distcheck_sarif,
-    render_distcheck_text,
+import pytest
+
+from repro.devtools.analyze import (
+    AnalyzeConfig,
+    analyze_paths,
+    load_analyze_config,
+    render_analysis_json,
+    render_analysis_manifest,
+    render_analysis_sarif,
+    render_analysis_text,
+    write_baseline,
 )
+from repro.devtools.analyze.baseline import Baseline, fingerprint
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -31,7 +34,7 @@ def rule_ids(report):
 
 
 def cert_by_name(report):
-    return {cert.name: cert for cert in report.certifications}
+    return {cert.name: cert for cert in report.extras.certifications}
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +74,7 @@ def env_probe(params, seed):
 
 def test_env_read_outside_allowlist_fails_certification(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert rule_ids(report) == {"dist-host-state"}
     (violation,) = report.violations
     assert "'EXPERIMENT_TAG'" in violation.message
@@ -84,7 +87,7 @@ def test_env_read_outside_allowlist_fails_certification(tmp_path):
 
 def test_allowlisted_env_read_certifies(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE_CLEAN})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.violations == []
     assert cert_by_name(report)["env-probe"].status == "certified"
     assert report.exit_code == 0
@@ -124,7 +127,7 @@ def stateful(params, seed):
 
 def test_module_global_write_is_flagged_transitively(tmp_path):
     write_tree(tmp_path, {"state.py": MUTABLE})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert rule_ids(report) == {"dist-mutable-global"}
     (violation,) = report.violations
     assert "_RESULTS" in violation.message
@@ -135,7 +138,7 @@ def test_module_global_write_is_flagged_transitively(tmp_path):
 
 def test_locally_scoped_mutation_is_clean(tmp_path):
     write_tree(tmp_path, {"state.py": MUTABLE_CLEAN})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.violations == []
     assert cert_by_name(report)["stateful"].status == "certified"
 
@@ -168,7 +171,7 @@ def fan_out(points):
 
 def test_lambda_into_pool_submit_is_flagged(tmp_path):
     write_tree(tmp_path, {"pool.py": BOUNDARY})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert rule_ids(report) == {"dist-unpicklable-boundary"}
     (violation,) = report.violations
     assert "a lambda" in violation.message
@@ -179,7 +182,7 @@ def test_lambda_into_pool_submit_is_flagged(tmp_path):
 
 def test_module_level_callable_crosses_boundary_cleanly(tmp_path):
     write_tree(tmp_path, {"pool.py": BOUNDARY_CLEAN})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.violations == []
 
 
@@ -202,7 +205,7 @@ def point_digest(payload):
 
 def test_unsorted_dumps_in_digest_closure_is_flagged(tmp_path):
     write_tree(tmp_path, {"cachekey.py": DIGEST})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert rule_ids(report) == {"dist-digest-instability"}
     (violation,) = report.violations
     assert "json.dumps" in violation.message
@@ -211,7 +214,7 @@ def test_unsorted_dumps_in_digest_closure_is_flagged(tmp_path):
 
 def test_sorted_dumps_in_digest_closure_is_clean(tmp_path):
     write_tree(tmp_path, {"cachekey.py": DIGEST_CLEAN})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.violations == []
 
 
@@ -221,7 +224,7 @@ def test_hash_builtin_outside_digest_closure_is_ignored(tmp_path):
         "def bucket(key):\n"
         "    return hash(key) % 8\n"
     )})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.violations == []
 
 
@@ -259,7 +262,7 @@ def reader(params, seed):
 
 def test_scenario_reachable_fs_write_is_flagged(tmp_path):
     write_tree(tmp_path, {"io.py": FS_ESCAPE})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert rule_ids(report) == {"dist-filesystem-escape"}
     (violation,) = report.violations
     assert "sanctioned" in violation.message
@@ -268,15 +271,15 @@ def test_scenario_reachable_fs_write_is_flagged(tmp_path):
 
 def test_reads_are_not_filesystem_escapes(tmp_path):
     write_tree(tmp_path, {"io.py": FS_CLEAN})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.violations == []
     assert cert_by_name(report)["reader"].status == "certified"
 
 
 def test_sanctioned_writer_pattern_permits_the_write(tmp_path):
     write_tree(tmp_path, {"io.py": FS_ESCAPE})
-    config = DistcheckConfig(sanctioned_writers=("io.spill",))
-    report = distcheck_paths([tmp_path], config, use_cache=False)
+    config = AnalyzeConfig(sanctioned_writers=("io.spill",))
+    report = analyze_paths([tmp_path], config, use_cache=False)
     assert report.violations == []
     assert cert_by_name(report)["spiller"].status == "certified"
 
@@ -286,10 +289,10 @@ def test_sanctioned_writer_pattern_permits_the_write(tmp_path):
 # ----------------------------------------------------------------------
 def test_refused_scenario_drops_its_findings(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    config = DistcheckConfig(refuse_scenarios=("env-probe",))
-    report = distcheck_paths([tmp_path], config, use_cache=False)
+    config = AnalyzeConfig(refuse_scenarios=("env-probe",))
+    report = analyze_paths([tmp_path], config, use_cache=False)
     assert report.violations == []
-    assert report.refused_findings == 1
+    assert report.extras.refused_findings == 1
     assert cert_by_name(report)["env-probe"].status == "refused"
     assert report.exit_code == 0
 
@@ -303,8 +306,8 @@ def test_finding_shared_with_certified_scenario_still_gates(tmp_path):
         "    return {\"tag\": lookup()}\n"
     )
     write_tree(tmp_path, {"probe.py": shared})
-    config = DistcheckConfig(refuse_scenarios=("env-probe",))
-    report = distcheck_paths([tmp_path], config, use_cache=False)
+    config = AnalyzeConfig(refuse_scenarios=("env-probe",))
+    report = analyze_paths([tmp_path], config, use_cache=False)
     assert rule_ids(report) == {"dist-host-state"}
     assert cert_by_name(report)["env-probe-b"].status == "failed"
     assert report.exit_code == 1
@@ -316,7 +319,7 @@ def test_analyze_pragma_suppresses_dist_rules(tmp_path):
         'os.environ.get("EXPERIMENT_TAG")'
         '  # analyze: disable=dist-host-state')
     write_tree(tmp_path, {"probe.py": suppressed})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.violations == []
     assert report.suppressed == 1
     # Reviewed-away findings downgrade failed -> baselined-findings.
@@ -327,11 +330,11 @@ def test_analyze_pragma_suppresses_dist_rules(tmp_path):
 
 def test_baseline_roundtrip_filters_known_findings(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    report = distcheck_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.exit_code == 1
     baseline_file = tmp_path / "baseline.json"
     write_baseline(baseline_file, report.violations)
-    rerun = distcheck_paths(
+    rerun = analyze_paths(
         [tmp_path], use_cache=False,
         baseline=Baseline({fingerprint(v) for v in report.violations}))
     assert rerun.violations == []
@@ -344,14 +347,16 @@ def test_baseline_roundtrip_filters_known_findings(tmp_path):
 def test_config_reads_distcheck_table(tmp_path):
     pyproject = tmp_path / "pyproject.toml"
     pyproject.write_text(
-        "[tool.urllc5g.distcheck]\n"
+        "[tool.urllc5g.analyze]\n"
         'baseline = "accepted.json"\n'
         'cache = ".cache.json"\n'
+        "\n"
+        "[tool.urllc5g.analyze.distcheck]\n"
         'allow-env = ["URLLC5G_*", "CI"]\n'
         'refuse-scenarios = ["chaos-selftest"]\n'
         'sanctioned-writers = ["repro.runner.cache.*"]\n',
         encoding="utf-8")
-    config = load_distcheck_config(pyproject=pyproject)
+    config = load_analyze_config(pyproject=pyproject)
     # Relative paths anchor at the pyproject's directory.
     assert config.baseline == str(tmp_path / "accepted.json")
     assert config.cache == str(tmp_path / ".cache.json")
@@ -359,9 +364,16 @@ def test_config_reads_distcheck_table(tmp_path):
     assert config.refuse_scenarios == ("chaos-selftest",)
     assert config.sanctioned_writers == ("repro.runner.cache.*",)
     # Unset keys keep their contract defaults.
-    assert config.entry_decorators == \
-        ("repro.runner.scenarios.scenario",)
-    assert config.shared_roots == ("repro.runner.scenarios.run_point",)
+    assert config.allow_globals == ()
+
+
+def test_config_rejects_a_non_table_distcheck_key(tmp_path):
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text(
+        "[tool.urllc5g.analyze]\n"
+        'distcheck = ["URLLC5G_*"]\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="must be a table"):
+        load_analyze_config(pyproject=pyproject)
 
 
 # ----------------------------------------------------------------------
@@ -369,8 +381,8 @@ def test_config_reads_distcheck_table(tmp_path):
 # ----------------------------------------------------------------------
 def test_text_report_shows_certifications_and_attribution(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    text = render_distcheck_text(
-        distcheck_paths([tmp_path], use_cache=False))
+    text = render_analysis_text(
+        analyze_paths([tmp_path], use_cache=False))
     assert "scenario certification" in text
     assert "env-probe" in text
     assert "failed" in text
@@ -379,8 +391,8 @@ def test_text_report_shows_certifications_and_attribution(tmp_path):
 
 def test_json_report_carries_scenarios_and_attribution(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    payload = json.loads(render_distcheck_json(
-        distcheck_paths([tmp_path], use_cache=False)))
+    payload = json.loads(render_analysis_json(
+        analyze_paths([tmp_path], use_cache=False)))
     (scenario_row,) = payload["scenarios"]
     assert scenario_row["name"] == "env-probe"
     assert scenario_row["status"] == "failed"
@@ -390,21 +402,23 @@ def test_json_report_carries_scenarios_and_attribution(tmp_path):
     assert payload["exit_code"] == 1
 
 
-def test_sarif_report_uses_distcheck_tool_name(tmp_path):
+def test_sarif_report_carries_dist_results(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE})
-    doc = json.loads(render_distcheck_sarif(
-        distcheck_paths([tmp_path], use_cache=False)))
+    doc = json.loads(render_analysis_sarif(
+        analyze_paths([tmp_path], use_cache=False)))
     run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "urllc5g-distcheck"
+    assert run["tool"]["driver"]["name"] == "urllc5g-analyze"
+    listed = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
+    assert "dist-filesystem-escape" in listed
     assert [r["ruleId"] for r in run["results"]] == ["dist-host-state"]
 
 
 def test_manifest_lists_every_scenario_with_verdict(tmp_path):
     write_tree(tmp_path, {"probe.py": HOST_STATE,
                           "io.py": FS_CLEAN})
-    config = DistcheckConfig(refuse_scenarios=("env-probe",))
-    report = distcheck_paths([tmp_path], config, use_cache=False)
-    manifest = json.loads(render_distcheck_manifest(report))
+    config = AnalyzeConfig(refuse_scenarios=("env-probe",))
+    report = analyze_paths([tmp_path], config, use_cache=False)
+    manifest = json.loads(render_analysis_manifest(report))
     assert manifest["tool"] == "urllc5g-distcheck"
     assert manifest["schema_version"] == 1
     assert manifest["exit_code"] == 0
@@ -416,17 +430,17 @@ def test_manifest_lists_every_scenario_with_verdict(tmp_path):
     assert reader["distributable"] is True
     assert reader["reachable_functions"] >= 2
     # Deterministic byte-for-byte: CI diffs the artifact.
-    assert render_distcheck_manifest(report) == \
-        render_distcheck_manifest(report)
+    assert render_analysis_manifest(report) == \
+        render_analysis_manifest(report)
 
 
 # ----------------------------------------------------------------------
 # acceptance: the repository itself
 # ----------------------------------------------------------------------
 def test_every_registered_scenario_is_certified_or_reviewed():
-    config = load_distcheck_config(pyproject=REPO / "pyproject.toml")
-    report = distcheck_paths([REPO / "src"], config, use_cache=False)
-    assert report.exit_code == 0, render_distcheck_text(report)
+    config = load_analyze_config(pyproject=REPO / "pyproject.toml")
+    report = analyze_paths([REPO / "src"], config, use_cache=False)
+    assert report.exit_code == 0, render_analysis_text(report)
     from repro.runner.scenarios import SCENARIOS
     by_name = cert_by_name(report)
     assert set(by_name) == set(SCENARIOS)
@@ -438,14 +452,15 @@ def test_every_registered_scenario_is_certified_or_reviewed():
     assert by_name["chaos-selftest"].status == "refused"
     # No stray pragmas: accepted debt lives in the reviewed baseline.
     assert report.suppressed == 0
-    assert report.baselined == 2  # the sanitizer log + sim clock slots
+    # The sanitizer log + sim clock slots, plus detsan's AirLink escape.
+    assert report.baselined == 3
 
 
 def test_src_closures_reach_the_simulation_core():
-    config = load_distcheck_config(pyproject=REPO / "pyproject.toml")
-    report = distcheck_paths([REPO / "src"], config, use_cache=False)
+    config = load_analyze_config(pyproject=REPO / "pyproject.toml")
+    report = analyze_paths([REPO / "src"], config, use_cache=False)
     sizes = {cert.name: cert.reachable
-             for cert in report.certifications}
+             for cert in report.extras.certifications}
     # The latency campaigns pull in the full DES core; the analytic
     # feasibility scenario stays an order of magnitude smaller.
     assert sizes["ran-latency"] > 200

@@ -1,6 +1,10 @@
 """The public API surface: exports resolve and stay consistent."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,3 +53,18 @@ def test_module_docstrings_exist():
     for package_name in PACKAGES:
         package = importlib.import_module(package_name)
         assert package.__doc__, f"{package_name} lacks a module docstring"
+
+
+def test_runtime_does_not_import_the_analyzer():
+    # The CLI entry point, the bench coordinator and every spawned
+    # worker import repro.runner; none of them needs the static
+    # analyzer or the linter, which together cost tens of ms to import.
+    src = Path(repro.__file__).resolve().parents[1]
+    code = ("import sys, repro.cli, repro.runner\n"
+            "heavy = ('repro.devtools.analyze', 'repro.devtools.lintkit',\n"
+            "         'repro.devtools.distcheck.rules')\n"
+            "print([name for name in heavy if name in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
