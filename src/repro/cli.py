@@ -8,10 +8,9 @@ Usage (after installation)::
     urllc5g fig6 --packets 400    # testbed latency distributions
     urllc5g sweep                 # slot duration × radio latency
     urllc5g technologies          # Wi-Fi / Bluetooth / mmWave (§9)
-    urllc5g lint src/             # per-file static analysis (docs/LINTING.md)
-    urllc5g analyze src/          # whole-program analysis (docs/ANALYSIS.md)
+    urllc5g analyze src/          # static analysis, every pass (docs/ANALYSIS.md)
     urllc5g analyze src/ --manifest distcheck-manifest.json
-    urllc5g check --all           # lint + analyze gate
+    urllc5g check --all           # the analyze gate over src/
     urllc5g check --determinism   # same-seed trace-digest comparison
     urllc5g bench smoke           # run a named campaign (docs/CAMPAIGNS.md)
     urllc5g bench smoke --check benchmarks/baselines/smoke.json
@@ -132,53 +131,27 @@ def _cmd_technologies(args: argparse.Namespace) -> None:
     print(render_table(("technology", "vs the 0.5 ms budget"), rows))
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    # Imported lazily so analysis commands stay import-light.
-    from pathlib import Path
+def _missing_paths(paths: Sequence[str]) -> bool:
+    """Report (on stderr) every path that does not exist.
 
-    from repro.devtools.lintkit import (
-        LintConfig, lint_paths, load_config, render_json, render_sarif,
-        render_text)
-    paths = args.paths or ["src"]
+    A typo'd path must not produce a green "0 files analyzed".
+    """
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
-        # A typo'd path must not produce a green "0 files checked".
         print(f"error: no such path: {', '.join(missing)}",
               file=sys.stderr)
-        return 2
-    try:
-        if args.no_config:
-            config = LintConfig()
-        else:
-            config = load_config(pyproject=args.config, start=paths[0])
-        if args.select:
-            config.select = tuple(args.select)
-        if args.ignore:
-            config.ignore = tuple(config.ignore) + tuple(args.ignore)
-        report = lint_paths(paths, config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    renderers = {"json": render_json, "sarif": render_sarif,
-                 "text": render_text}
-    print(renderers[args.format](report))
-    return report.exit_code
+    return bool(missing)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # Imported lazily so analysis commands stay import-light.
-    from pathlib import Path
-
+    # Imported lazily so the runtime verbs never load the analyzer.
     from repro.devtools.analyze import (
         AnalyzeConfig, Baseline, analyze_paths, load_analyze_config,
         load_baseline, render_analysis_dot, render_analysis_json,
         render_analysis_manifest, render_analysis_sarif,
         render_analysis_text, write_baseline)
     paths = args.paths or ["src"]
-    missing = [p for p in paths if not Path(p).exists()]
-    if missing:
-        print(f"error: no such path: {', '.join(missing)}",
-              file=sys.stderr)
+    if _missing_paths(paths):
         return 2
     try:
         if args.no_config:
@@ -219,40 +192,33 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _check_all() -> int:
-    """One blocking pre-merge entry point: lint plus every analyze pass."""
+    """One blocking pre-merge entry point: every analyze pass over src/."""
     from repro.devtools.analyze import analyze_paths, load_analyze_config
-    from repro.devtools.lintkit import lint_paths, load_config
 
     paths = ["src"]
-    lint_report = lint_paths(paths, load_config(start=paths[0]))
-    analyze_report = analyze_paths(
-        paths, load_analyze_config(start=paths[0]))
-
-    rows = []
-    reports = (("lint", lint_report), ("analyze", analyze_report))
-    for name, report in reports:
-        extras = []
-        for label in ("suppressed", "baselined"):
-            count = getattr(report, label, 0)
-            if count:
-                extras.append(f"{count} {label}")
-        detail = f" ({', '.join(extras)})" if extras else ""
-        rows.append((name,
-                     f"{len(report.violations)} finding(s){detail}",
-                     "FAIL" if report.exit_code else "PASS"))
-    print(render_table(("tool", "findings", "status"), rows,
-                       title="urllc5g check --all"))
-    ownership = analyze_report.extras.ownership
+    if _missing_paths(paths):
+        return 2
+    report = analyze_paths(paths, load_analyze_config(start=paths[0]))
+    extras = [f"{count} {label}" for label, count
+              in (("suppressed", report.suppressed),
+                  ("baselined", report.baselined)) if count]
+    detail = f" ({', '.join(extras)})" if extras else ""
+    print(render_table(
+        ("tool", "findings", "status"),
+        [("analyze", f"{len(report.violations)} finding(s){detail}",
+          "FAIL" if report.exit_code else "PASS")],
+        title="urllc5g check --all"))
+    ownership = report.extras.ownership
     print(f"detsan streams: {len(ownership.streams)} "
           f"({ownership.resolved}/{ownership.acquisitions} "
           "acquisition(s) resolved)")
     statuses: dict[str, int] = {}
-    for cert in analyze_report.extras.certifications:
+    for cert in report.extras.certifications:
         statuses[cert.status] = statuses.get(cert.status, 0) + 1
     summary = ", ".join(f"{count} {status}" for status, count
                         in sorted(statuses.items()))
     print(f"distcheck scenarios: {summary or '(none registered)'}")
-    return max(report.exit_code for _, report in reports)
+    return report.exit_code
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -532,26 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     tech.add_argument("--seed", type=int, default=3)
     tech.set_defaults(func=_cmd_technologies)
 
-    lint = sub.add_parser(
-        "lint", help="domain static analysis (see docs/LINTING.md)")
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories (default: src)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text")
-    lint.add_argument("--select", nargs="*", metavar="RULE",
-                      help="run only these rule ids")
-    lint.add_argument("--ignore", nargs="*", metavar="RULE",
-                      help="additionally disable these rule ids")
-    lint.add_argument("--config", default=None,
-                      help="explicit pyproject.toml path")
-    lint.add_argument("--no-config", action="store_true",
-                      help="ignore [tool.urllc5g.lint] entirely")
-    lint.set_defaults(func=_cmd_lint)
-
     analyze = sub.add_parser(
         "analyze",
-        help="whole-program analysis: units, purity, detsan, distcheck "
-             "(see docs/ANALYSIS.md)")
+        help="static analysis: lint rules, units, purity, detsan, "
+             "distcheck (see docs/ANALYSIS.md)")
     analyze.add_argument("paths", nargs="*", default=["src"],
                          help="files or directories (default: src)")
     analyze.add_argument("--format",
@@ -584,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregate gate (--all) and runtime sanitizers "
              "(--determinism)")
     check.add_argument("--all", action="store_true",
-                       help="run lint + analyze over src/ and exit "
-                            "with the worst code")
+                       help="run every analyze pass over src/ with "
+                            "the repository config")
     check.add_argument("--determinism", action="store_true",
                        help="run a scenario twice with the same seed "
                             "and compare trace digests")

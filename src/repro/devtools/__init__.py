@@ -1,16 +1,13 @@
 """Developer tooling for the urllc5g reproduction.
 
-Three quality gates live here, all wired into the ``urllc5g`` CLI and CI:
+Two quality gates live here, both wired into the ``urllc5g`` CLI and CI:
 
-- :mod:`repro.devtools.lintkit` — an AST static-analysis framework with
-  per-file domain rules enforcing the invariants the paper's results
-  rest on (no wall-clock reads in simulated paths, explicit RNG
-  threading, time-unit suffix consistency, deterministic iteration
-  order);
-- :mod:`repro.devtools.analyze` — the whole-program companion: one
-  project load, four passes (cross-module time units, transitive
-  purity, RNG stream ownership, scenario distributability; see
-  docs/ANALYSIS.md);
+- :mod:`repro.devtools.analyze` — the one static-analysis driver
+  (``urllc5g analyze``): one project load, five passes (the per-module
+  lint rules of :mod:`repro.devtools.lintkit`, cross-module time units,
+  transitive purity, RNG stream ownership, scenario
+  distributability), one config table, one pragma grammar and one
+  reviewed baseline; see docs/ANALYSIS.md;
 - :mod:`repro.devtools.determinism` — a runtime sanitizer that runs a
   scenario twice with the same seed and compares trace digests.
 
@@ -20,7 +17,7 @@ and :mod:`repro.devtools.sarif` (SARIF 2.1.0 output).
 The campaign runner imports :mod:`repro.devtools.walker` and
 :mod:`repro.devtools.distcheck.manifest` at runtime, which runs this
 ``__init__``; it therefore re-exports only what loads without the
-analyzer and the linter.  Import those from their own packages.
+analyzer.  Import the analyzer from its own package.
 """
 
 from repro.devtools.determinism import (

@@ -1,9 +1,12 @@
-"""``urllc5g analyze`` — whole-program static analysis.
+"""``urllc5g analyze`` — the one static-analysis driver.
 
-Where :mod:`repro.devtools.lintkit` checks one expression in one file,
-this package loads *all* of ``src/`` into a project model (symbol
-table + call graph) once and runs four cross-module passes over it:
+This package loads *all* of ``src/`` into a project model (symbol
+table + call graph) once and runs five passes over it:
 
+- **lint** (:mod:`repro.devtools.lintkit`): the per-module domain rules
+  (``no-wall-clock``, ``rng-discipline``, ``unit-suffix-mixing``, ...),
+  run by the loader on the AST it already parsed and cached with the
+  module summary;
 - **time-unit inference** (:mod:`.units`): abstract interpretation over
   the unit lattice ``tc | ns | us | ms | s | unitless | unknown``,
   seeded from name suffixes, the :mod:`repro.phy.timebase` converter
@@ -11,16 +14,17 @@ table + call graph) once and runs four cross-module passes over it:
   assignments, returns and call boundaries;
 - **transitive purity** (:mod:`.purity`): wall-clock, global-RNG and
   unordered-iteration-before-scheduling taint propagated through the
-  call graph, catching the helper-indirection cases per-file lint is
-  blind to;
+  call graph, catching the helper-indirection cases the per-module
+  rules are blind to;
 - **detsan** (:mod:`repro.devtools.detsan`): the RNG stream ownership
   map and its five ``detsan-*`` rules;
 - **distcheck** (:mod:`repro.devtools.distcheck`): per-scenario
   distributability certification and its five ``dist-*`` rules.
 
-Findings reuse the lintkit :class:`~repro.devtools.lintkit.core.Violation`
-shape, so one pragma grammar, one reviewed baseline and one set of
-text/JSON/SARIF reporters serve every pass.  See docs/ANALYSIS.md.
+Every pass yields the lintkit :class:`~repro.devtools.lintkit.core.Violation`
+shape, so one ``ignore`` list, one ``# analyze:`` pragma grammar, one
+reviewed baseline and one set of text/JSON/SARIF reporters serve them
+all.  See docs/ANALYSIS.md.
 """
 
 from repro.devtools.analyze.baseline import (

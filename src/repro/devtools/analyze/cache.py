@@ -8,26 +8,40 @@ bytes.  On a re-run over an unchanged tree every lookup hits and
 ``ast.parse`` is never called — asserted in the test-suite via
 :data:`repro.devtools.analyze.loader.PARSE_HOOKS`.
 
-The cache file is versioned with :data:`ANALYZER_VERSION`; bump it
-whenever summary extraction changes shape so stale caches are
-discarded wholesale rather than misinterpreted.
+The cache file is stamped with :func:`analyzer_version`, a hash of the
+analyzer's own source: any edit to summary extraction or to a lint
+rule discards stale caches wholesale, so a summary or a finding is
+never replayed from older code.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 from repro.devtools.analyze.loader import ModuleSummary
 
-__all__ = ["ANALYZER_VERSION", "DEFAULT_CACHE_PATH", "AnalysisCache"]
-
-#: Bump on any change to summary extraction or the summary schema.
-#: "3": distributability channels (host_state, global_writes, fs_writes,
-#: boundary, digest_hazards, decorators, str_constants, mutable_globals).
-ANALYZER_VERSION = "3"
+__all__ = ["DEFAULT_CACHE_PATH", "AnalysisCache", "analyzer_version"]
 
 DEFAULT_CACHE_PATH = ".urllc5g-analyze-cache.json"
+
+#: The ``repro.devtools`` package: every module that extracts, checks
+#: or caches a summary lives under it.
+_DEVTOOLS_ROOT = Path(__file__).resolve().parents[1]
+
+
+def analyzer_version(root: Path = _DEVTOOLS_ROOT) -> str:
+    """The cache version: sha256 over every ``*.py`` file (relative path
+    and bytes) under ``root``, by default the ``repro.devtools`` source.
+    """
+    hasher = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        hasher.update(path.relative_to(root).as_posix().encode("utf-8"))
+        hasher.update(b"\0")
+        hasher.update(path.read_bytes())
+        hasher.update(b"\0")
+    return hasher.hexdigest()
 
 
 class AnalysisCache:
@@ -35,6 +49,7 @@ class AnalysisCache:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.version = analyzer_version()
         self.entries: dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
@@ -47,7 +62,7 @@ class AnalysisCache:
         except (OSError, ValueError):
             return
         if not isinstance(payload, dict) \
-                or payload.get("analyzer_version") != ANALYZER_VERSION:
+                or payload.get("analyzer_version") != self.version:
             return
         entries = payload.get("entries")
         if isinstance(entries, dict):
@@ -77,7 +92,7 @@ class AnalysisCache:
         """Persist to disk (no-op when nothing changed)."""
         if not self._dirty:
             return
-        payload = {"analyzer_version": ANALYZER_VERSION,
+        payload = {"analyzer_version": self.version,
                    "entries": self.entries}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.path.write_text(json.dumps(payload, sort_keys=True),

@@ -1,7 +1,7 @@
 """Load analyzer configuration from ``pyproject.toml``.
 
-One ``[tool.urllc5g.analyze]`` table configures every pass (units,
-purity, detsan, distcheck)::
+One ``[tool.urllc5g.analyze]`` table configures every pass (the
+per-module lint rules, units, purity, detsan, distcheck)::
 
     [tool.urllc5g.analyze]
     ignore = []                        # rule ids disabled, any pass
@@ -26,18 +26,16 @@ docs/ANALYSIS.md); the baseline file is the reviewed bulk mechanism.
 
 from __future__ import annotations
 
+import fnmatch
 from dataclasses import dataclass
 from pathlib import Path
-
-from repro.devtools.lintkit.core import _glob_match
-from repro.devtools.lintkit.config import find_pyproject
 
 try:
     import tomllib
 except ImportError:  # pragma: no cover - Python 3.10 fallback
     tomllib = None  # type: ignore[assignment]
 
-__all__ = ["AnalyzeConfig", "load_analyze_config"]
+__all__ = ["AnalyzeConfig", "find_pyproject", "load_analyze_config"]
 
 #: The reviewed env-var contract: runner knobs are snapshot-managed.
 DEFAULT_ALLOW_ENV = ("URLLC5G_*",)
@@ -58,6 +56,32 @@ class AnalyzeConfig:
 
     def is_excluded(self, path: str) -> bool:
         return any(_glob_match(path, pattern) for pattern in self.exclude)
+
+
+def _glob_match(path: str, pattern: str) -> bool:
+    """Match ``pattern`` against the path or any of its suffix segments.
+
+    ``"sim/rng.py"`` matches ``src/repro/sim/rng.py`` so config entries
+    stay stable when the tree is analyzed from a different root.
+    """
+    normalized = Path(path).as_posix()
+    if fnmatch.fnmatch(normalized, pattern):
+        return True
+    parts = normalized.split("/")
+    return any(fnmatch.fnmatch("/".join(parts[i:]), pattern)
+               for i in range(len(parts)))
+
+
+def find_pyproject(start: str | Path) -> Path | None:
+    """Nearest ``pyproject.toml`` at or above ``start``."""
+    current = Path(start).resolve()
+    if current.is_file():
+        current = current.parent
+    for directory in (current, *current.parents):
+        candidate = directory / "pyproject.toml"
+        if candidate.is_file():
+            return candidate
+    return None
 
 
 _DISTCHECK_KEYS = {

@@ -1,9 +1,12 @@
-"""Analysis orchestration: one project load, four passes, one report.
+"""Analysis orchestration: one project load, five passes, one report.
 
 :func:`analyze_paths` is the one entry point the CLI and tests use.
 It loads the project model once (through the incremental cache when
 enabled) and runs every pass over it:
 
+- **lint** (:mod:`repro.devtools.lintkit`): the per-module rules, run
+  by the loader on the AST it parses and cached with the module
+  summary, so a warm run replays them without parsing;
 - **units** (:mod:`.units`) and **purity** (:mod:`.purity`);
 - **detsan** (:mod:`repro.devtools.detsan.ownership`): RNG stream
   ownership, with the ownership map as its extra;
@@ -46,6 +49,7 @@ from repro.devtools.lintkit.core import (
     SYNTAX_ERROR_RULE_ID,
     Severity,
     Violation,
+    registered_rules,
 )
 from repro.devtools.analyze.baseline import Baseline, load_baseline
 from repro.devtools.analyze.cache import AnalysisCache
@@ -66,7 +70,7 @@ __all__ = ["ANALYZE_RULES", "AnalysisReport", "PassExtras",
            "render_analysis_manifest"]
 
 #: Rule id -> one-line description of the units and purity passes;
-#: :func:`all_rules` adds the detsan and distcheck tables.
+#: :func:`all_rules` adds the lint, detsan and distcheck tables.
 ANALYZE_RULES = {
     "cross-unit-arithmetic":
         "additive arithmetic mixes two different time units",
@@ -95,7 +99,9 @@ def all_rules() -> dict[str, str]:
     Rule ids are unique across passes, so one baseline file and one
     ``ignore`` list serve them all.
     """
-    return {**ANALYZE_RULES, **detsan.DETSAN_RULES,
+    lint = {rule_id: rule_cls.description
+            for rule_id, rule_cls in registered_rules().items()}
+    return {**lint, **ANALYZE_RULES, **detsan.DETSAN_RULES,
             **distcheck.DIST_RULES}
 
 #: Manifest schema version; bump on any change to the payload shape.
@@ -165,6 +171,14 @@ def _syntax_violations(project: Project) -> list[Violation]:
     return violations
 
 
+def _lint_violations(project: Project) -> list[Violation]:
+    return [Violation(path=module.path, line=found["line"],
+                      col=found["col"], rule_id=found["rule"],
+                      severity=Severity(found["severity"]),
+                      message=found["message"])
+            for module in project.modules for found in module.lint]
+
+
 def _apply_pragmas(project: Project, violations: list[Violation]
                    ) -> tuple[list[Violation], int]:
     by_path = {module.path: module for module in project.modules}
@@ -229,6 +243,10 @@ def analyze_paths(paths: Iterable[str | Path],
     the incremental cache entirely (every module is re-parsed).
     """
     config = config or AnalyzeConfig()
+    unknown = set(config.ignore) - set(all_rules())
+    if unknown:
+        raise ValueError(
+            f"unknown rule id(s) in analyze ignore: {sorted(unknown)}")
     cache: AnalysisCache | None = None
     if use_cache:
         location = cache_path if cache_path is not None else config.cache
@@ -252,6 +270,7 @@ def analyze_paths(paths: Iterable[str | Path],
         dist_findings.append(violation)
         attribution[violation] = scenarios
     violations = (_syntax_violations(project)
+                  + _lint_violations(project)
                   + unit_violations(project, resolve_units(project))
                   + purity_violations(project)
                   + stream_findings

@@ -5,7 +5,8 @@ The loader walks the analysis roots with the shared
 once (or restores it from the incremental cache without parsing — see
 :data:`PARSE_HOOKS`), and extracts a :class:`ModuleSummary`: the symbol
 table (functions, methods, classes, module constants), the call edges
-resolvable from imports/``self``, per-function purity effects, and the
+resolvable from imports/``self``, per-function purity effects, the
+findings of the per-module lint rules (run on the same AST), and the
 *symbolic* unit facts the global passes resolve later.
 
 Symbolic unit expressions are plain JSON-able dicts so summaries can be
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
+from repro.devtools.lintkit.core import check_module
 from repro.devtools.walker import iter_python_files
 
 __all__ = [
@@ -289,6 +291,9 @@ class ModuleSummary:
     str_constants: dict[str, str] = field(default_factory=dict)
     #: Module-level bindings to mutable containers (dict/list/set/...).
     mutable_globals: list[str] = field(default_factory=list)
+    #: Per-module rule findings (:func:`repro.devtools.lintkit.core
+    #: .check_module`), unfiltered: line, col, rule, severity, message.
+    lint: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
         from dataclasses import asdict
@@ -299,27 +304,13 @@ class ModuleSummary:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ModuleSummary":
-        functions = [FunctionSummary(**f) for f in payload["functions"]]
-        classes = [ClassSummary(**c) for c in payload["classes"]]
-        return cls(
-            path=payload["path"],
-            qualname=payload["qualname"],
-            content_hash=payload["content_hash"],
-            aliases=dict(payload["aliases"]),
-            constants=dict(payload["constants"]),
-            module_checks=list(payload["module_checks"]),
-            functions=functions,
-            classes=classes,
-            line_pragmas={int(line): rules for line, rules
-                          in payload["line_pragmas"].items()},
-            file_pragmas=list(payload["file_pragmas"]),
-            parse_error=payload.get("parse_error"),
-            streams=list(payload.get("streams", [])),
-            rng_buffers=list(payload.get("rng_buffers", [])),
-            rng_escapes=list(payload.get("rng_escapes", [])),
-            str_constants=dict(payload.get("str_constants", {})),
-            mutable_globals=list(payload.get("mutable_globals", [])),
-        )
+        kwargs = dict(payload)
+        kwargs["functions"] = [FunctionSummary(**f)
+                               for f in payload["functions"]]
+        kwargs["classes"] = [ClassSummary(**c) for c in payload["classes"]]
+        kwargs["line_pragmas"] = {int(line): rules for line, rules
+                                  in payload["line_pragmas"].items()}
+        return cls(**kwargs)
 
 
 @dataclass
@@ -455,6 +446,10 @@ class _ModuleExtractor:
             elif isinstance(stmt, ast.ClassDef):
                 self._extract_class(stmt)
         _StreamWalker(self).run()
+        self.summary.lint = [
+            {"line": v.line, "col": v.col, "rule": v.rule_id,
+             "severity": str(v.severity), "message": v.message}
+            for v in check_module(self.path, self.tree)]
         return self.summary
 
     # -- comments ------------------------------------------------------

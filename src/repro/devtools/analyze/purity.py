@@ -1,7 +1,7 @@
 """Transitive purity: taint propagation through the call graph.
 
-Per-file lint catches ``time.time()`` *in the function you are
-reading*.  It cannot see that an innocuous helper three calls away
+The per-module lint rules catch ``time.time()`` *in the function you
+are reading*.  It cannot see that an innocuous helper three calls away
 reaches the wall clock, seeds the process-global RNG, or schedules
 simulator events from inside an unordered ``set`` iteration.  This
 pass propagates three taints over the whole-program call graph:
@@ -14,8 +14,8 @@ pass propagates three taints over the whole-program call graph:
 - **schedules** — calls to ``.schedule(...)`` / ``.call_in(...)``.
 
 Only *indirectly acquired* taint is reported: a function that calls
-``time.time()`` itself is lint's business (``no-wall-clock``), so the
-two tools never double-report one line.
+``time.time()`` itself is the lint pass's business (``no-wall-clock``),
+so the two passes never double-report one line.
 """
 
 from __future__ import annotations

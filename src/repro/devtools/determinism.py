@@ -1,6 +1,6 @@
 """Runtime determinism sanitizer.
 
-The static rules in :mod:`repro.devtools.lintkit` catch the common
+The static rules of ``urllc5g analyze`` catch the common
 *sources* of nondeterminism; this module checks the *outcome*: run the
 same traced scenario twice with the same seed and require bit-identical
 trace digests (:meth:`repro.sim.trace.Tracer.digest`).  Exposed as

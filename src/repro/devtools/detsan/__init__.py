@@ -10,8 +10,8 @@ it from both sides:
   ownership map, and reports sharing, dead streams, unresolvable
   names, buffered-stream escapes, and draws reachable from unordered
   iteration.  :mod:`.ownership` is not re-exported here: it needs the
-  analyzer, while the linter and the runtime side import this package
-  without it.
+  analyzer, while the lint rules and the runtime side import this
+  package without it.
 - **Dynamic** (:mod:`repro.sim.sanitize`, re-exported here, plus
   :mod:`.runtime`): ``URLLC5G_SANITIZE=1`` wraps vended generators in
   recording proxies that enforce exclusive claims at runtime and stay

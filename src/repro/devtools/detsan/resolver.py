@@ -9,8 +9,8 @@ literal text is kept, every interpolated hole becomes the placeholder
 prefix — enough to identify the stream family for ownership analysis
 and for prefix policies like the ``fault-streams-named`` lint rule.
 
-Kept dependency-free (``ast`` only) so both the lint layer and the
-analyze/detsan project passes can share it without import cycles.
+Kept dependency-free (``ast`` only) so both the per-module lint rules
+and the detsan project pass can share it without import cycles.
 """
 
 from __future__ import annotations

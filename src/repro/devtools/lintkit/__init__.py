@@ -1,49 +1,33 @@
-"""``urllc5g lint`` — AST static analysis for simulation invariants.
+"""The per-module rules of ``urllc5g analyze`` (its lint pass).
 
-The framework (:mod:`.core`) walks Python sources, runs every
-registered :class:`Rule`, honours ``# lint: disable=RULE`` pragmas and
-the ``[tool.urllc5g.lint]`` baseline, and reports through
-:mod:`.reporters`.  The domain rules live in :mod:`.rules`; importing
-this package registers them all.
+The framework (:mod:`.core`) defines :class:`Rule`, the registry and
+:func:`check_module`, which runs every registered rule on one parsed
+module.  The domain rules live in :mod:`.rules`; importing this
+package registers them all.  Filtering (``ignore``, ``# analyze:``
+pragmas, the reviewed baseline), caching and reporting belong to
+:mod:`repro.devtools.analyze` — see docs/ANALYSIS.md.
 """
 
-from repro.devtools.lintkit.config import find_pyproject, load_config
 from repro.devtools.lintkit.core import (
     SYNTAX_ERROR_RULE_ID,
-    LintConfig,
-    LintReport,
     ModuleUnderLint,
     Rule,
     Severity,
     Violation,
-    lint_paths,
-    lint_source,
+    check_module,
     register,
     registered_rules,
-)
-from repro.devtools.lintkit.reporters import (
-    render_json,
-    render_sarif,
-    render_text,
 )
 from repro.devtools.lintkit import rules  # noqa: F401  (registers rules)
 
 __all__ = [
-    "LintConfig",
-    "LintReport",
     "ModuleUnderLint",
     "Rule",
     "SYNTAX_ERROR_RULE_ID",
     "Severity",
     "Violation",
-    "find_pyproject",
-    "lint_paths",
-    "lint_source",
-    "load_config",
+    "check_module",
     "register",
     "registered_rules",
-    "render_json",
-    "render_sarif",
-    "render_text",
     "rules",
 ]

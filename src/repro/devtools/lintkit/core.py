@@ -1,31 +1,21 @@
-"""The lint engine: rule registry, suppressions, file walking.
+"""The per-module rule framework behind the lint pass of ``analyze``.
 
 A :class:`Rule` inspects one parsed module and yields
 :class:`Violation` objects.  Rules register themselves with
-:func:`register` so the CLI and tests discover them by id; severity is
-per-rule but can be overridden from configuration.
-
-Suppressions are explicit and line-scoped::
-
-    t0 = time.time()   # lint: disable=no-wall-clock
-
-A whole file can opt out of one rule with a top-of-file pragma
-(``# lint: disable-file=RULE``), but the reviewed baseline for the
-repository lives in ``pyproject.toml`` (``[tool.urllc5g.lint]``), not
-in scattered comments — see docs/LINTING.md.
+:func:`register`; :func:`check_module` runs every registered rule on
+one AST.  ``urllc5g analyze`` calls it on the tree its loader already
+parsed, caches the findings with the module summary, and filters them
+with the same ``ignore`` list, ``# analyze:`` pragmas and reviewed
+baseline as every other pass — see docs/ANALYSIS.md.
 """
 
 from __future__ import annotations
 
 import ast
 import enum
-import fnmatch
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
-
-from repro.devtools.walker import iter_python_files
+from typing import Iterator
 
 __all__ = [
     "Severity",
@@ -33,12 +23,9 @@ __all__ = [
     "Violation",
     "ModuleUnderLint",
     "Rule",
+    "check_module",
     "register",
     "registered_rules",
-    "LintConfig",
-    "LintReport",
-    "lint_paths",
-    "lint_source",
 ]
 
 
@@ -48,7 +35,7 @@ class Severity(str, enum.Enum):
     A ``str`` subclass so existing code (and configuration files) can
     keep comparing against the plain strings ``"error"``/``"warning"``;
     ordering comparisons rank by severity, not lexicographically, so
-    ``lint`` and ``analyze`` share one "is this at least a warning?"
+    every analysis pass shares one "is this at least a warning?"
     predicate.  ``ERROR`` fails the build, the others do not.
     """
 
@@ -119,44 +106,16 @@ class Violation:
                 f"{self.severity}[{self.rule_id}] {self.message}")
 
 
-_SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\- ]+)")
-_SUPPRESS_FILE_RE = re.compile(
-    r"#\s*lint:\s*disable-file=([A-Za-z0-9_,\- ]+)")
-
-
-@dataclass
+@dataclass(frozen=True)
 class ModuleUnderLint:
-    """A parsed module plus the source context rules may need."""
+    """A parsed module: what every rule inspects."""
 
     path: str
-    source: str
     tree: ast.Module
-    lines: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
 
     @property
     def is_package_init(self) -> bool:
         return Path(self.path).name == "__init__.py"
-
-    def suppressed_rules_on_line(self, line: int) -> set[str]:
-        """Rule ids disabled on ``line`` via an inline pragma."""
-        if 1 <= line <= len(self.lines):
-            match = _SUPPRESS_RE.search(self.lines[line - 1])
-            if match:
-                return {r.strip() for r in match.group(1).split(",")}
-        return set()
-
-    def file_suppressed_rules(self) -> set[str]:
-        """Rule ids disabled for the whole file via pragmas."""
-        rules: set[str] = set()
-        for line in self.lines:
-            match = _SUPPRESS_FILE_RE.search(line)
-            if match:
-                rules.update(r.strip() for r in match.group(1).split(","))
-        return rules
 
 
 class Rule:
@@ -204,166 +163,16 @@ def registered_rules() -> dict[str, type[Rule]]:
     return dict(_REGISTRY)
 
 
-@dataclass
-class LintConfig:
-    """Which rules run where; see ``[tool.urllc5g.lint]``.
+def check_module(path: str, tree: ast.Module) -> list[Violation]:
+    """Every registered rule's findings on one parsed module.
 
-    - ``select``: run only these rule ids (empty = all registered);
-    - ``ignore``: rule ids disabled everywhere;
-    - ``exclude``: path glob patterns never linted;
-    - ``per_path``: mapping of path glob -> rule ids disabled there —
-      the reviewed suppression baseline;
-    - ``severity_overrides``: rule id -> severity.
+    No filtering happens here: ``urllc5g analyze`` applies its one
+    ``ignore`` list, ``# analyze:`` pragmas and baseline to these
+    findings exactly as to every other pass's.
     """
-
-    select: tuple[str, ...] = ()
-    ignore: tuple[str, ...] = ()
-    exclude: tuple[str, ...] = ()
-    per_path: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    severity_overrides: dict[str, str] = field(default_factory=dict)
-
-    def active_rules(self) -> list[Rule]:
-        rules = registered_rules()
-        unknown = (set(self.select) | set(self.ignore)
-                   | set(self.severity_overrides)) - set(rules)
-        for patterns in self.per_path.values():
-            unknown |= set(patterns) - set(rules)
-        if unknown:
-            raise ValueError(
-                f"unknown rule id(s) in lint config: {sorted(unknown)}")
-        wanted = self.select or tuple(sorted(rules))
-        active = []
-        for rule_id in wanted:
-            if rule_id in self.ignore:
-                continue
-            rule = rules[rule_id]()
-            override = self.severity_overrides.get(rule_id)
-            if override is not None:
-                try:
-                    rule.severity = Severity(override)
-                except ValueError:
-                    raise ValueError(
-                        f"invalid severity {override!r} for rule "
-                        f"{rule_id!r}; expected one of "
-                        f"{sorted(_SEVERITY_RANKS)}") from None
-            active.append(rule)
-        return active
-
-    def is_excluded(self, path: str) -> bool:
-        return any(_glob_match(path, pattern) for pattern in self.exclude)
-
-    def rules_disabled_for(self, path: str) -> set[str]:
-        disabled: set[str] = set()
-        for pattern, rule_ids in self.per_path.items():
-            if _glob_match(path, pattern):
-                disabled.update(rule_ids)
-        return disabled
-
-
-def _glob_match(path: str, pattern: str) -> bool:
-    """Match ``pattern`` against the path or any of its suffix segments.
-
-    ``"sim/rng.py"`` matches ``src/repro/sim/rng.py`` so config entries
-    stay stable when the tree is linted from a different root.
-    """
-    normalized = Path(path).as_posix()
-    if fnmatch.fnmatch(normalized, pattern):
-        return True
-    parts = normalized.split("/")
-    return any(fnmatch.fnmatch("/".join(parts[i:]), pattern)
-               for i in range(len(parts)))
-
-
-@dataclass
-class LintReport:
-    """The outcome of one lint run."""
-
-    violations: list[Violation]
-    files_checked: int
-    suppressed: int = 0
-    parse_errors: list[str] = field(default_factory=list)
-
-    @property
-    def errors(self) -> list[Violation]:
-        return [v for v in self.violations
-                if v.severity == Severity.ERROR]
-
-    @property
-    def warnings(self) -> list[Violation]:
-        return [v for v in self.violations
-                if v.severity == Severity.WARNING]
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if (self.errors or self.parse_errors) else 0
-
-
-def lint_source(source: str, path: str, rules: Iterable[Rule],
-                disabled: set[str] | None = None
-                ) -> tuple[list[Violation], int]:
-    """Lint one in-memory module.  Returns (violations, suppressed)."""
-    tree = ast.parse(source, filename=path)
-    module = ModuleUnderLint(path=path, source=source, tree=tree)
-    disabled = disabled or set()
-    file_off = module.file_suppressed_rules() | disabled
-    kept: list[Violation] = []
-    suppressed = 0
-    for rule in rules:
-        if rule.rule_id in file_off:
-            continue
-        for violation in rule.check(module):
-            pragmas = module.suppressed_rules_on_line(violation.line)
-            if rule.rule_id in pragmas or "all" in pragmas:
-                suppressed += 1
-                continue
-            kept.append(violation)
-    kept.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    return kept, suppressed
-
-
-def _syntax_error_violation(path: str, exc: Exception) -> Violation:
-    """An ERROR-severity finding for a file that could not be parsed."""
-    line = 1
-    col = 0
-    message = str(exc)
-    if isinstance(exc, SyntaxError):
-        line = exc.lineno or 1
-        col = (exc.offset or 1) - 1
-        message = exc.msg or "invalid syntax"
-    return Violation(path=path, line=line, col=max(col, 0),
-                     rule_id=SYNTAX_ERROR_RULE_ID,
-                     severity=Severity.ERROR,
-                     message=f"could not parse file: {message}")
-
-
-def lint_paths(paths: Iterable[str | Path],
-               config: LintConfig | None = None) -> LintReport:
-    """Lint files/directories and aggregate a :class:`LintReport`."""
-    config = config or LintConfig()
-    rules = config.active_rules()
-    violations: list[Violation] = []
-    parse_errors: list[str] = []
-    files_checked = 0
-    suppressed_total = 0
-    for path in iter_python_files(paths):
-        path_str = path.as_posix()
-        if config.is_excluded(path_str):
-            continue
-        files_checked += 1
-        try:
-            source = path.read_text(encoding="utf-8")
-            found, suppressed = lint_source(
-                source, path_str, rules,
-                disabled=config.rules_disabled_for(path_str))
-        # ast.parse raises SyntaxError for malformed code but ValueError
-        # for e.g. null bytes; a broken file must surface as an ERROR
-        # finding for that file, never abort the whole run.
-        except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
-            violations.append(_syntax_error_violation(path_str, exc))
-            continue
-        violations.extend(found)
-        suppressed_total += suppressed
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    return LintReport(violations=violations, files_checked=files_checked,
-                      suppressed=suppressed_total,
-                      parse_errors=parse_errors)
+    module = ModuleUnderLint(path=path, tree=tree)
+    found = [violation
+             for _, rule_cls in sorted(registered_rules().items())
+             for violation in rule_cls().check(module)]
+    found.sort(key=lambda v: (v.line, v.col, v.rule_id))
+    return found

@@ -1,7 +1,8 @@
-"""The domain rules behind ``urllc5g lint``.
+"""The domain rules of the ``urllc5g analyze`` lint pass.
 
 Each rule encodes one invariant the paper's results depend on; see
-docs/LINTING.md for worked examples and the suppression syntax.
+the "Per-module rules" chapter of docs/ANALYSIS.md for worked examples
+and the suppression syntax.
 """
 
 from __future__ import annotations

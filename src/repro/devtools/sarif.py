@@ -1,15 +1,14 @@
-"""SARIF 2.1.0 output shared by the ``urllc5g lint`` and ``analyze`` verbs.
+"""SARIF 2.1.0 output for ``urllc5g analyze --format sarif``.
 
 `SARIF <https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html>`_
 is the interchange format code scanners upload to review UIs; emitting
-it lets lint and every analyze pass feed GitHub code scanning and any
-SARIF viewer.  The writer is a pure function from violations +
-rule metadata to the document, so tests can assert on the exact shape.
+it lets every analyze pass feed GitHub code scanning and any SARIF
+viewer.  The writer is a pure function from violations + rule
+metadata to the document, so tests can assert on the exact shape.
 
-Every verb emits the same driver metadata shape — ``urllc5g-<verb>``
-tool name, the shared :data:`TOOL_VERSION`, and a sorted,
-index-referenced rule table — so the CI artifacts merge cleanly in
-one viewer.
+The driver carries the ``urllc5g-<verb>`` tool name, the shared
+:data:`TOOL_VERSION` (also stamped into the distcheck manifest) and a
+sorted, index-referenced rule table.
 """
 
 from __future__ import annotations
@@ -42,18 +41,17 @@ def sarif_document(violations: Sequence[Violation], *,
                    tool_name: str,
                    tool_version: str = TOOL_VERSION,
                    rules: Mapping[str, str] | None = None,
-                   rule_severities: Mapping[str, str] | None = None,
                    information_uri: str | None = None) -> dict:
     """Build a SARIF 2.1.0 document as a plain dict.
 
     ``rules`` maps rule id -> one-line description; rule ids that appear
     in ``violations`` but not in ``rules`` are added with an empty
     description so every result can reference a rule object by index,
-    as the spec recommends.  ``rule_severities`` sets each rule's
-    ``defaultConfiguration.level`` (defaults to "error").
+    as the spec recommends.  A rule's ``defaultConfiguration.level`` is
+    the severity of its findings, or "error" when it has none.
     """
     rules = dict(rules or {})
-    rule_severities = dict(rule_severities or {})
+    rule_severities: dict[str, str] = {}
     for violation in violations:
         rules.setdefault(violation.rule_id, "")
         rule_severities.setdefault(violation.rule_id, violation.severity)
@@ -119,11 +117,9 @@ def render_sarif(violations: Iterable[Violation], *,
                  tool_name: str,
                  tool_version: str = TOOL_VERSION,
                  rules: Mapping[str, str] | None = None,
-                 rule_severities: Mapping[str, str] | None = None,
                  information_uri: str | None = None) -> str:
     """The SARIF document serialised with stable key order."""
     document = sarif_document(
         list(violations), tool_name=tool_name, tool_version=tool_version,
-        rules=rules, rule_severities=rule_severities,
-        information_uri=information_uri)
+        rules=rules, information_uri=information_uri)
     return json.dumps(document, indent=2, sort_keys=True)

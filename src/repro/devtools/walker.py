@@ -1,9 +1,10 @@
-"""Shared source-file discovery for ``urllc5g lint`` and ``analyze``.
+"""Source-file discovery for ``urllc5g analyze``.
 
-Both tools accept a mix of files and directories and must visit the
-same set of modules in the same (sorted, deterministic) order, so the
-walk lives here rather than in either tool.  Directories are expanded
-recursively; ``__pycache__`` and hidden directories are skipped.
+The analyzer accepts a mix of files and directories and must visit
+the same set of modules in the same (sorted, deterministic) order on
+every run.  Directories are expanded recursively; ``__pycache__`` and
+hidden directories are skipped.  The campaign runner's source
+fingerprint walks the tree the same way.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ everything that reaches the result document: retries are *counted* (in
 recomputes from its own derived seed so the payload is the same
 whichever attempt produced it.  The wall clock is read only for the
 campaign-level ``wall_clock_s`` span and for the liveness timeout that
-detects wedged workers (``time.perf_counter`` is excused for this file
-in ``[tool.urllc5g.lint.per-path]``); neither can alter a payload.
+detects wedged workers (the ``no-wall-clock`` finding for
+``time.perf_counter`` here is a reviewed entry of
+``analyze-baseline.json``); neither can alter a payload.
 """
 
 from __future__ import annotations
@@ -161,6 +162,25 @@ class CampaignResult:
 def _execute_point(point: ScenarioPoint) -> dict[str, Any]:
     """Worker-side entry: must stay a module-level importable."""
     return run_point(point)
+
+
+def execute_with_retries(point: ScenarioPoint, max_retries: int
+                         ) -> tuple[dict[str, Any] | None, int, str | None]:
+    """Run one point in this process with the bounded-retry budget.
+
+    Returns ``(payload, attempts, error)``: the first successful
+    attempt's payload, or ``None`` with ``max_retries + 1`` attempts and
+    the last error once the budget is spent.  The serial path, dispatch
+    workers, the coordinator's inline drain and its collect-time
+    recovery all retry through this one loop.
+    """
+    error = None
+    for attempt in range(1, max_retries + 2):
+        try:
+            return _execute_point(point), attempt, None
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    return None, max_retries + 1, error
 
 
 class CampaignRunner:
@@ -309,7 +329,8 @@ class CampaignRunner:
         if pending:
             if self.workers == 1 or len(pending) == 1:
                 for point in pending:
-                    record(point, self._run_serial(point))
+                    record(point, _Outcome(
+                        *execute_with_retries(point, self.max_retries)))
             else:
                 self._run_parallel(pending, record)
             if self.cache is not None:
@@ -348,16 +369,6 @@ class CampaignRunner:
         )
 
     # ------------------------------------------------------------------
-    def _run_serial(self, point: ScenarioPoint) -> _Outcome:
-        """In-process execution with the same retry budget as parallel."""
-        error = None
-        for attempt in range(1, self.max_retries + 2):
-            try:
-                return _Outcome(_execute_point(point), attempt, None)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-        return _Outcome(None, self.max_retries + 1, error)
-
     def _bump(self, point: ScenarioPoint, attempts: dict[str, int],
               error: str, requeue: list[ScenarioPoint],
               record: Callable[[ScenarioPoint, _Outcome], None]) -> None:

@@ -16,6 +16,7 @@ from repro.devtools.analyze import (
     write_baseline,
 )
 from repro.devtools.analyze.baseline import Baseline, fingerprint
+from repro.devtools.analyze.cache import analyzer_version
 from repro.devtools.analyze.loader import (
     PARSE_HOOKS,
     conversion_units,
@@ -24,21 +25,39 @@ from repro.devtools.analyze.loader import (
     unit_of_name,
 )
 from repro.devtools.analyze.units import resolve_units
-from repro.devtools.lintkit import lint_paths, render_text
+from repro.devtools.lintkit import registered_rules
 
 CROSSMOD = Path(__file__).parent / "fixtures_analyze" / "crossmod"
 
 
 def write_tree(tmp_path, files):
+    # Each module gets an ``__all__`` appended after its own lines (so
+    # line numbers hold): the lint pass's public-api-exports rule runs
+    # on every analyzed file and is not what these tests exercise.
     for name, source in files.items():
         target = tmp_path / name
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source, encoding="utf-8")
+        if source and not source.endswith("\n"):
+            source += "\n"
+        target.write_text(source + "__all__ = ()\n", encoding="utf-8")
     return tmp_path
 
 
 def rule_ids(report):
     return {v.rule_id for v in report.violations}
+
+
+#: The units-pass tests feed it expressions its per-module twin, the
+#: ``unit-suffix-mixing`` lint rule, flags too; ignoring the twin keeps
+#: each of those tests about one pass.
+UNITS_PASS = AnalyzeConfig(ignore=("unit-suffix-mixing",))
+
+
+def lint_rule_ids(report, *names):
+    """Rule ids the per-module lint pass reports on files ``names``."""
+    lint = set(registered_rules())
+    return {v.rule_id for v in report.violations
+            if v.rule_id in lint and Path(v.path).name in names}
 
 
 # ----------------------------------------------------------------------
@@ -67,12 +86,12 @@ def test_module_qualname_walks_init_chain():
 
 
 # ----------------------------------------------------------------------
-# the headline requirement: per-file lint passes, analyze flags
+# the headline requirement: the per-module lint rules pass, the
+# whole-program passes flag
 # ----------------------------------------------------------------------
 def test_cross_module_unit_mismatch_invisible_to_lint():
-    lint = lint_paths([CROSSMOD / "budget.py", CROSSMOD / "phy.py"])
-    assert lint.violations == [], render_text(lint)
     report = analyze_paths([CROSSMOD], use_cache=False)
+    assert lint_rule_ids(report, "budget.py", "phy.py") == set()
     mismatches = [v for v in report.violations
                   if v.rule_id == "cross-unit-arithmetic"]
     assert len(mismatches) == 1
@@ -82,9 +101,8 @@ def test_cross_module_unit_mismatch_invisible_to_lint():
 
 
 def test_transitive_wall_clock_invisible_to_lint():
-    lint = lint_paths([CROSSMOD / "jitter.py"])
-    assert lint.violations == [], render_text(lint)
     report = analyze_paths([CROSSMOD], use_cache=False)
+    assert lint_rule_ids(report, "jitter.py") == set()
     leaks = [v for v in report.violations
              if v.rule_id == "transitive-wall-clock"]
     assert leaks, render_analysis_text(report)
@@ -93,19 +111,16 @@ def test_transitive_wall_clock_invisible_to_lint():
 
 
 def test_direct_wall_clock_is_lints_finding_not_analyzes():
-    # timing.py reads the clock directly: lint flags it ...
-    lint = lint_paths([CROSSMOD / "timing.py"])
-    assert {v.rule_id for v in lint.violations} == {"no-wall-clock"}
-    # ... so analyze stays silent there (no double-reporting).
+    # timing.py reads the clock directly: the lint pass flags it, and
+    # the purity pass stays silent there (no double-reporting).
     report = analyze_paths([CROSSMOD], use_cache=False)
-    assert not any(v.path.endswith("timing.py")
-                   for v in report.violations)
+    assert {v.rule_id for v in report.violations
+            if v.path.endswith("timing.py")} == {"no-wall-clock"}
 
 
 def test_transitive_schedule_in_set_loop_invisible_to_lint():
-    lint = lint_paths([CROSSMOD / "sched.py"])
-    assert lint.violations == [], render_text(lint)
     report = analyze_paths([CROSSMOD], use_cache=False)
+    assert lint_rule_ids(report, "sched.py") == set()
     loops = [v for v in report.violations
              if v.rule_id == "transitive-unordered-schedule"]
     assert len(loops) == 1
@@ -170,7 +185,7 @@ def test_comparison_between_units_checked(tmp_path):
         "mod.py": ("def late(deadline_ms, elapsed_us):\n"
                    "    return elapsed_us > deadline_ms\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], UNITS_PASS, use_cache=False)
     assert rule_ids(report) == {"cross-unit-comparison"}
 
 
@@ -242,7 +257,11 @@ def test_default_rng_is_not_a_taint_source(tmp_path):
                         "    return make_stream(seed).normal()\n"),
     })
     report = analyze_paths([tmp_path / "pkg"], use_cache=False)
-    assert report.violations == [], render_analysis_text(report)
+    # The direct construction is the lint pass's rng-discipline
+    # finding; no transitive-global-rng taint reaches user.py.
+    assert [(Path(v.path).name, v.rule_id) for v in report.violations] \
+        == [("registry.py", "rng-discipline")], \
+        render_analysis_text(report)
 
 
 # ----------------------------------------------------------------------
@@ -251,12 +270,13 @@ def test_default_rng_is_not_a_taint_source(tmp_path):
 def test_line_pragma_suppresses_finding(tmp_path):
     write_tree(tmp_path, {
         "mod.py": ("def f(a_ms, b_us):\n"
-                   "    return a_ms + b_us"
-                   "  # analyze: disable=cross-unit-arithmetic\n"),
+                   "    return a_ms + b_us  # analyze: disable="
+                   "cross-unit-arithmetic,unit-suffix-mixing\n"),
     })
     report = analyze_paths([tmp_path], use_cache=False)
+    # One pragma grammar silences the units pass and the lint pass.
     assert report.violations == []
-    assert report.suppressed == 1
+    assert report.suppressed == 2
 
 
 def test_file_pragma_suppresses_rule_everywhere(tmp_path):
@@ -267,7 +287,7 @@ def test_file_pragma_suppresses_rule_everywhere(tmp_path):
                    "def g(c_ms, d_us):\n"
                    "    return c_ms - d_us\n"),
     })
-    report = analyze_paths([tmp_path], use_cache=False)
+    report = analyze_paths([tmp_path], UNITS_PASS, use_cache=False)
     assert report.violations == []
     assert report.suppressed == 2
 
@@ -291,7 +311,8 @@ def test_config_ignore_drops_rule(tmp_path):
     })
     config = AnalyzeConfig(ignore=("cross-unit-arithmetic",))
     report = analyze_paths([tmp_path], config, use_cache=False)
-    assert report.violations == []
+    # Only the named rule goes; the lint pass's twin stays.
+    assert rule_ids(report) == {"unit-suffix-mixing"}
 
 
 def test_load_analyze_config_from_pyproject(tmp_path):
@@ -321,12 +342,12 @@ def test_baseline_round_trip_suppresses_known_findings(tmp_path):
         "mod.py": ("def f(a_ms, b_us):\n"
                    "    return a_ms + b_us\n"),
     })
-    first = analyze_paths([source_dir], use_cache=False)
+    first = analyze_paths([source_dir], UNITS_PASS, use_cache=False)
     assert first.exit_code == 1
     baseline_file = tmp_path / "baseline.json"
     write_baseline(baseline_file, first.violations)
     baseline = load_baseline(baseline_file)
-    second = analyze_paths([source_dir], baseline=baseline,
+    second = analyze_paths([source_dir], UNITS_PASS, baseline=baseline,
                            use_cache=False)
     assert second.exit_code == 0
     assert second.baselined == 1
@@ -336,12 +357,11 @@ def test_baseline_survives_line_shifts(tmp_path):
     source = ("def f(a_ms, b_us):\n"
               "    return a_ms + b_us\n")
     source_dir = write_tree(tmp_path / "proj", {"mod.py": source})
-    first = analyze_paths([source_dir], use_cache=False)
+    first = analyze_paths([source_dir], UNITS_PASS, use_cache=False)
     baseline = Baseline({fingerprint(v) for v in first.violations})
     # Prepend a line: the finding moves but stays baselined.
-    (source_dir / "mod.py").write_text('"""doc."""\n' + source,
-                                       encoding="utf-8")
-    second = analyze_paths([source_dir], baseline=baseline,
+    write_tree(source_dir, {"mod.py": '"""doc."""\n' + source})
+    second = analyze_paths([source_dir], UNITS_PASS, baseline=baseline,
                            use_cache=False)
     assert second.exit_code == 0
     assert second.baselined == 1
@@ -352,12 +372,11 @@ def test_new_finding_escapes_the_baseline(tmp_path):
         "mod.py": ("def f(a_ms, b_us):\n"
                    "    return a_ms + b_us\n"),
     })
-    first = analyze_paths([source_dir], use_cache=False)
+    first = analyze_paths([source_dir], UNITS_PASS, use_cache=False)
     baseline = Baseline({fingerprint(v) for v in first.violations})
-    (source_dir / "other.py").write_text(
-        "def g(c_tc, d_ns):\n    return c_tc - d_ns\n",
-        encoding="utf-8")
-    second = analyze_paths([source_dir], baseline=baseline,
+    write_tree(source_dir, {
+        "other.py": "def g(c_tc, d_ns):\n    return c_tc - d_ns\n"})
+    second = analyze_paths([source_dir], UNITS_PASS, baseline=baseline,
                            use_cache=False)
     assert second.exit_code == 1
     assert len(second.violations) == 1
@@ -398,9 +417,11 @@ def test_cache_rerun_performs_zero_reparses(tmp_path):
     assert parses == []  # zero re-parses on an unchanged tree
     assert second.from_cache == second.files_checked == 3
     assert second.parsed == 0
-    # Cached summaries must reproduce the exact findings.
+    # Cached summaries must reproduce the exact findings, the lint
+    # pass's included.
     assert second.violations == first.violations
-    assert rule_ids(second) == {"cross-unit-arithmetic"}
+    assert rule_ids(second) == {"cross-unit-arithmetic",
+                                "unit-suffix-mixing"}
 
 
 def test_cache_reparses_only_the_changed_file(tmp_path):
@@ -421,6 +442,34 @@ def test_cache_reparses_only_the_changed_file(tmp_path):
     assert [Path(p).name for p in parses] == ["a.py"]
     assert report.parsed == 1
     assert report.from_cache == 1
+
+
+def test_changed_analyzer_version_discards_the_cache(tmp_path):
+    source_dir = write_tree(tmp_path / "proj", {
+        "a.py": "def f():\n    return 1\n",
+        "b.py": "def g():\n    return 2\n",
+    })
+    cache_file = tmp_path / "cache.json"
+    analyze_paths([source_dir], cache_path=cache_file)
+    payload = json.loads(cache_file.read_text(encoding="utf-8"))
+    assert payload["analyzer_version"] == analyzer_version()
+    payload["analyzer_version"] = "an-older-analyzer"
+    cache_file.write_text(json.dumps(payload), encoding="utf-8")
+    report = analyze_paths([source_dir], cache_path=cache_file)
+    assert report.parsed == 2
+    assert report.from_cache == 0
+
+
+def test_analyzer_version_tracks_the_analyzer_source(tmp_path):
+    tool = write_tree(tmp_path / "tool", {
+        "rules.py": "RULE = 1\n",
+        "sub/loader.py": "LOADER = 1\n",
+    })
+    before = analyzer_version(tool)
+    assert analyzer_version(tool) == before
+    (tool / "sub" / "loader.py").write_text("LOADER = 2\n",
+                                            encoding="utf-8")
+    assert analyzer_version(tool) != before
 
 
 # ----------------------------------------------------------------------
@@ -496,9 +545,12 @@ def test_src_tree_is_analyze_clean():
     # No scattered escapes: pragmas would hide regressions.
     assert report.suppressed == 0
     # The units and purity passes need no reviewed exceptions; the
-    # three baselined findings are detsan's and distcheck's.
-    assert report.baselined == 3
+    # eight baselined findings (six fingerprints) are the lint pass's,
+    # detsan's and distcheck's.
+    assert report.baselined == 8
     accepted = json.loads((repo_root / "analyze-baseline.json")
                           .read_text(encoding="utf-8"))["findings"]
+    assert len(accepted) == 6
     assert {entry["rule"] for entry in accepted} == {
-        "detsan-buffered-escape", "dist-mutable-global"}
+        "detsan-buffered-escape", "dist-mutable-global",
+        "no-wall-clock", "rng-discipline"}

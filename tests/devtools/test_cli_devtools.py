@@ -1,4 +1,4 @@
-"""CLI wiring: ``urllc5g lint``/``analyze``/``check``."""
+"""CLI wiring: ``urllc5g analyze``/``check``."""
 
 import json
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.devtools.lintkit import registered_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CROSSMOD = Path(__file__).parent / "fixtures_analyze" / "crossmod"
@@ -13,15 +14,15 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_lint_src_is_clean_and_exits_zero(capsys):
-    code = main(["lint", str(REPO_ROOT / "src"),
+    code = main(["analyze", str(REPO_ROOT / "src"), "--no-cache",
                  "--config", str(REPO_ROOT / "pyproject.toml")])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "0 error(s)" in out
+    assert not [rule for rule in registered_rules() if f"[{rule}]" in out]
 
 
 def test_lint_fixture_violations_exit_nonzero(capsys):
-    code = main(["lint", str(FIXTURES), "--no-config"])
+    code = main(["analyze", str(FIXTURES), "--no-config", "--no-cache"])
     out = capsys.readouterr().out
     assert code == 1
     assert "no-wall-clock" in out
@@ -29,36 +30,34 @@ def test_lint_fixture_violations_exit_nonzero(capsys):
 
 
 def test_lint_json_format(capsys):
-    code = main(["lint", str(FIXTURES / "bad_exports.py"),
-                 "--no-config", "--format", "json"])
+    code = main(["analyze", str(FIXTURES / "bad_exports.py"),
+                 "--no-config", "--no-cache", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert payload["errors"] == 1
+    assert len(payload["violations"]) == 1
     assert payload["violations"][0]["rule"] == "public-api-exports"
 
 
-def test_lint_select_narrows_rules(capsys):
-    code = main(["lint", str(FIXTURES), "--no-config",
-                 "--select", "no-wall-clock"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "rng-discipline" not in out
-
-
-def test_lint_ignore_disables_rule(capsys):
-    code = main(["lint", str(FIXTURES / "bad_exports.py"), "--no-config",
-                 "--ignore", "public-api-exports"])
+def test_lint_ignore_disables_rule(tmp_path, capsys):
+    config = tmp_path / "pyproject.toml"
+    config.write_text('[tool.urllc5g.analyze]\n'
+                      'ignore = ["public-api-exports"]\n',
+                      encoding="utf-8")
+    code = main(["analyze", str(FIXTURES / "bad_exports.py"),
+                 "--config", str(config), "--no-cache"])
     out = capsys.readouterr().out
     assert code == 0, out
 
 
 def test_lint_sarif_format(capsys):
-    code = main(["lint", str(FIXTURES / "bad_exports.py"),
-                 "--no-config", "--format", "sarif"])
+    code = main(["analyze", str(FIXTURES / "bad_exports.py"),
+                 "--no-config", "--no-cache", "--format", "sarif"])
     document = json.loads(capsys.readouterr().out)
     assert code == 1
     assert document["version"] == "2.1.0"
-    assert document["runs"][0]["tool"]["driver"]["name"] == "urllc5g-lint"
+    run = document["runs"][0]
+    assert run["tool"]["driver"]["name"] == "urllc5g-analyze"
+    assert [r["ruleId"] for r in run["results"]] == ["public-api-exports"]
 
 
 def test_analyze_src_is_clean_and_exits_zero(capsys):
@@ -111,6 +110,7 @@ def test_analyze_config_anchors_paths_outside_the_cwd(
     project = tmp_path / "proj"
     (project / "src").mkdir(parents=True)
     (project / "src" / "mod.py").write_text(
+        '__all__ = ["f"]\n\n\n'
         "def f(a_ms, b_us):\n    return a_ms + b_us\n", encoding="utf-8")
     (project / "pyproject.toml").write_text(
         "[tool.urllc5g.analyze]\n"
@@ -126,9 +126,10 @@ def test_analyze_config_anchors_paths_outside_the_cwd(
                         str(project / "accepted.json")]) == 0
     capsys.readouterr()
     # The configured baseline and cache resolve next to the pyproject,
-    # not in the invocation cwd.
+    # not in the invocation cwd.  Two findings: the units pass and the
+    # lint pass's unit-suffix-mixing both flag the one line.
     assert main(argv) == 0
-    assert "1 baselined" in capsys.readouterr().out
+    assert "2 baselined" in capsys.readouterr().out
     assert (project / ".cache.json").is_file()
     assert list(elsewhere.iterdir()) == []
 
@@ -211,7 +212,7 @@ def test_distcheck_write_then_use_baseline(tmp_path, capsys):
     assert "baselined-findings" in out
 
 
-@pytest.mark.parametrize("verb", ["detsan", "distcheck"])
+@pytest.mark.parametrize("verb", ["detsan", "distcheck", "lint"])
 def test_folded_verbs_are_gone(verb, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([verb, "src"])
@@ -220,22 +221,20 @@ def test_folded_verbs_are_gone(verb, capsys):
 
 
 def test_sarif_metadata_is_unified_across_all_verbs(capsys):
-    drivers = {}
-    for verb in ("lint", "analyze"):
-        argv = [verb, str(CROSSMOD), "--no-config", "--format", "sarif"]
-        if verb != "lint":
-            argv.append("--no-cache")
-        main(argv)
-        document = json.loads(capsys.readouterr().out)
-        drivers[verb] = document["runs"][0]["tool"]["driver"]
-    # One tool family: urllc5g-<verb>, one shared version, a docs link
-    # and an indexed rule table in every driver.
-    for verb, driver in drivers.items():
-        assert driver["name"] == f"urllc5g-{verb}", verb
-        assert driver["informationUri"], verb
-        assert driver["rules"], verb
-    assert {driver["version"] for driver in drivers.values()} == \
-        {"1.0.0"}
+    main(["analyze", str(FIXTURES), "--no-config", "--no-cache",
+          "--format", "sarif"])
+    document = json.loads(capsys.readouterr().out)
+    # One driver for every pass: the urllc5g-analyze name, the shared
+    # version, a docs link and one rule table listing the lint rules
+    # beside the whole-program ones.
+    driver = document["runs"][0]["tool"]["driver"]
+    assert driver["name"] == "urllc5g-analyze"
+    assert driver["informationUri"]
+    assert driver["version"] == "1.0.0"
+    listed = {rule["id"] for rule in driver["rules"]}
+    assert set(registered_rules()) <= listed
+    assert {"cross-unit-arithmetic", "detsan-shared-stream",
+            "dist-host-state"} <= listed
 
 
 def test_check_all_aggregates_the_four_gates(capsys, monkeypatch):
@@ -243,11 +242,22 @@ def test_check_all_aggregates_the_four_gates(capsys, monkeypatch):
     code = main(["check", "--all"])
     out = capsys.readouterr().out
     assert code == 0, out
-    for verb in ("lint", "analyze"):
-        assert verb in out
+    assert "analyze" in out
+    assert "8 baselined" in out
     assert "FAIL" not in out
     assert "detsan streams:" in out
     assert "distcheck scenarios:" in out
+
+
+def test_check_all_outside_the_repo_root_is_an_error(
+        tmp_path, capsys, monkeypatch):
+    # No src/ here: the gate must not pass over an empty tree.
+    monkeypatch.chdir(tmp_path)
+    code = main(["check", "--all"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no such path: src" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_check_all_fails_on_a_host_stateful_scenario(

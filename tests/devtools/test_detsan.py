@@ -21,10 +21,15 @@ REPO = Path(__file__).resolve().parents[2]
 
 
 def write_tree(tmp_path, files):
+    # Each module gets an ``__all__`` appended after its own lines (so
+    # line numbers hold): the lint pass's public-api-exports rule runs
+    # on every analyzed file and is not what these tests exercise.
     for name, source in files.items():
         target = tmp_path / name
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source, encoding="utf-8")
+        if source and not source.endswith("\n"):
+            source += "\n"
+        target.write_text(source + "__all__ = ()\n", encoding="utf-8")
     return tmp_path
 
 
@@ -308,8 +313,10 @@ def test_src_tree_is_detsan_clean_against_reviewed_baseline():
     # debt is the reviewed baseline (no stray pragmas).
     assert report.extras.ownership.resolution_rate >= 0.95
     assert report.suppressed == 0
-    # The AirLink escape, plus distcheck's two sanitizer slots.
-    assert report.baselined == 3
+    # The AirLink escape, distcheck's two sanitizer slots, and the
+    # lint pass's five (RngRegistry's default_rng, the runner's four
+    # wall_clock_s reads).
+    assert report.baselined == 8
 
 
 def test_src_ownership_map_covers_the_core_streams():

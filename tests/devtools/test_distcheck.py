@@ -22,10 +22,15 @@ REPO = Path(__file__).resolve().parents[2]
 
 
 def write_tree(tmp_path, files):
+    # Each module gets an ``__all__`` appended after its own lines (so
+    # line numbers hold): the lint pass's public-api-exports rule runs
+    # on every analyzed file and is not what these tests exercise.
     for name, source in files.items():
         target = tmp_path / name
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source, encoding="utf-8")
+        if source and not source.endswith("\n"):
+            source += "\n"
+        target.write_text(source + "__all__ = ()\n", encoding="utf-8")
     return tmp_path
 
 
@@ -452,8 +457,10 @@ def test_every_registered_scenario_is_certified_or_reviewed():
     assert by_name["chaos-selftest"].status == "refused"
     # No stray pragmas: accepted debt lives in the reviewed baseline.
     assert report.suppressed == 0
-    # The sanitizer log + sim clock slots, plus detsan's AirLink escape.
-    assert report.baselined == 3
+    # The sanitizer log + sim clock slots, detsan's AirLink escape, and
+    # the lint pass's five (RngRegistry's default_rng, the runner's
+    # four wall_clock_s reads).
+    assert report.baselined == 8
 
 
 def test_src_closures_reach_the_simulation_core():

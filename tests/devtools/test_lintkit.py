@@ -1,24 +1,31 @@
-"""The lint framework: rules, suppressions, config, reporters."""
+"""The lint pass of ``urllc5g analyze``: rules, suppressions, config,
+reporters, caching."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.devtools.analyze import (
+    PARSE_HOOKS,
+    AnalyzeConfig,
+    analyze_paths,
+    load_analyze_config,
+    load_baseline,
+    render_analysis_json,
+    render_analysis_sarif,
+    render_analysis_text,
+    write_baseline,
+)
 from repro.devtools.lintkit import (
     SYNTAX_ERROR_RULE_ID,
-    LintConfig,
     Severity,
-    lint_paths,
-    lint_source,
-    load_config,
     registered_rules,
-    render_json,
-    render_sarif,
-    render_text,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 EXPECTED_RULES = {
     "no-wall-clock",
@@ -31,13 +38,21 @@ EXPECTED_RULES = {
 }
 
 
-def rules():
-    return [cls() for cls in registered_rules().values()]
+def lint_findings(report):
+    """The report's findings from the lint pass (other passes dropped)."""
+    return [v for v in report.violations if v.rule_id in EXPECTED_RULES]
 
 
-def rule_ids_in(source: str, path: str = "mod.py") -> set[str]:
-    violations, _ = lint_source(source, path, rules())
-    return {v.rule_id for v in violations}
+def analyze_source(tmp_path, source, name="mod.py", config=None):
+    target = tmp_path / name
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(source, encoding="utf-8")
+    return analyze_paths([target], config, use_cache=False)
+
+
+def rule_ids_in(tmp_path, source, name="mod.py"):
+    report = analyze_source(tmp_path, source, name)
+    return {v.rule_id for v in lint_findings(report)}
 
 
 def test_all_domain_rules_are_registered():
@@ -58,9 +73,9 @@ def test_all_domain_rules_are_registered():
 ])
 def test_fixture_caught_by_correct_rule(fixture, expected_rule,
                                         expected_count):
-    source = (FIXTURES / fixture).read_text(encoding="utf-8")
-    violations, suppressed = lint_source(source, fixture, rules())
-    assert suppressed == 0
+    report = analyze_paths([FIXTURES / fixture], use_cache=False)
+    assert report.suppressed == 0
+    violations = lint_findings(report)
     by_rule = {v.rule_id for v in violations}
     assert by_rule == {expected_rule}, (
         f"{fixture}: expected only {expected_rule}, got {sorted(by_rule)}")
@@ -68,10 +83,15 @@ def test_fixture_caught_by_correct_rule(fixture, expected_rule,
 
 
 def test_fixture_directory_linted_as_a_tree():
-    report = lint_paths([FIXTURES])
+    report = analyze_paths([FIXTURES], use_cache=False)
     assert report.files_checked == 8
-    assert {v.rule_id for v in report.violations} == (
+    lint_and_syntax = [v for v in report.violations
+                       if v.rule_id in EXPECTED_RULES | {
+                           SYNTAX_ERROR_RULE_ID}]
+    assert {v.rule_id for v in lint_and_syntax} == (
         EXPECTED_RULES | {SYNTAX_ERROR_RULE_ID})
+    # 18 rule findings plus the one unparseable file, reported once.
+    assert len(lint_and_syntax) == 19
     assert report.exit_code == 1
 
 
@@ -79,7 +99,7 @@ def test_fixture_directory_linted_as_a_tree():
 # unparseable files are findings, not crashes
 # ----------------------------------------------------------------------
 def test_syntax_error_reported_as_violation_not_traceback():
-    report = lint_paths([FIXTURES / "bad_syntax.py"])
+    report = analyze_paths([FIXTURES / "bad_syntax.py"], use_cache=False)
     assert report.exit_code == 1
     assert len(report.violations) == 1
     violation = report.violations[0]
@@ -94,7 +114,7 @@ def test_lint_continues_past_a_broken_file(tmp_path):
                                         encoding="utf-8")
     (tmp_path / "ok.py").write_text("__all__ = []\nimport random\n",
                                     encoding="utf-8")
-    report = lint_paths([tmp_path])
+    report = analyze_paths([tmp_path], use_cache=False)
     assert report.files_checked == 2
     assert {v.rule_id for v in report.violations} == {
         SYNTAX_ERROR_RULE_ID, "rng-discipline"}
@@ -102,7 +122,7 @@ def test_lint_continues_past_a_broken_file(tmp_path):
 
 def test_null_bytes_reported_as_syntax_error(tmp_path):
     (tmp_path / "nul.py").write_text("x = 1\x00\n", encoding="utf-8")
-    report = lint_paths([tmp_path])
+    report = analyze_paths([tmp_path], use_cache=False)
     assert [v.rule_id for v in report.violations] == [
         SYNTAX_ERROR_RULE_ID]
 
@@ -137,7 +157,7 @@ def test_severity_renders_as_its_bare_value():
 # ----------------------------------------------------------------------
 # clean code stays clean
 # ----------------------------------------------------------------------
-def test_clean_simulation_code_passes():
+def test_clean_simulation_code_passes(tmp_path):
     source = '''"""A well-behaved component."""
 import numpy as np
 
@@ -156,227 +176,253 @@ class Component:
     def _on_fire(self) -> None:
         pass
 '''
-    assert rule_ids_in(source) == set()
+    assert rule_ids_in(tmp_path, source) == set()
 
 
-def test_conversion_calls_reconcile_units():
+def test_conversion_calls_reconcile_units(tmp_path):
     source = ('__all__ = []\n'
               'def f(slot_tc, margin_us, tc_from_us):\n'
               '    return slot_tc + tc_from_us(margin_us)\n')
-    assert rule_ids_in(source) == set()
+    assert rule_ids_in(tmp_path, source) == set()
 
 
-def test_sorted_set_iteration_is_fine():
+def test_sorted_set_iteration_is_fine(tmp_path):
     source = ('__all__ = []\n'
               'def f(sim, ues):\n'
               '    for ue in sorted(set(ues)):\n'
               '        sim.schedule(0, ue)\n')
-    assert rule_ids_in(source) == set()
+    assert rule_ids_in(tmp_path, source) == set()
 
 
-def test_rng_parameter_and_closure_are_fine():
+def test_rng_parameter_and_closure_are_fine(tmp_path):
     source = ('__all__ = []\n'
               'def outer(rng):\n'
               '    def inner():\n'
               '        return rng.normal()\n'
               '    return inner\n')
-    assert rule_ids_in(source) == set()
+    assert rule_ids_in(tmp_path, source) == set()
 
 
 # ----------------------------------------------------------------------
-# suppressions
+# suppressions: the one ``# analyze:`` pragma grammar
 # ----------------------------------------------------------------------
-def test_inline_pragma_suppresses_one_line():
+def test_inline_pragma_suppresses_one_line(tmp_path):
     source = ('__all__ = []\n'
               'import time\n'
               'def f():\n'
-              '    return time.time()  # lint: disable=no-wall-clock\n')
-    violations, suppressed = lint_source(source, "mod.py", rules())
-    assert violations == []
-    assert suppressed == 1
+              '    return time.time()  # analyze: disable=no-wall-clock\n')
+    report = analyze_source(tmp_path, source)
+    assert report.violations == []
+    assert report.suppressed == 1
 
 
-def test_file_pragma_suppresses_whole_file():
-    source = ('# lint: disable-file=no-wall-clock\n'
+def test_file_pragma_suppresses_whole_file(tmp_path):
+    source = ('# analyze: disable-file=no-wall-clock\n'
               '__all__ = []\n'
               'import time\n'
               'def f():\n'
               '    return time.time()\n')
-    violations, _ = lint_source(source, "mod.py", rules())
-    assert violations == []
+    assert analyze_source(tmp_path, source).violations == []
 
 
-def test_pragma_only_silences_the_named_rule():
+def test_pragma_only_silences_the_named_rule(tmp_path):
     source = ('__all__ = []\n'
-              'import random  # lint: disable=no-wall-clock\n')
-    violations, _ = lint_source(source, "mod.py", rules())
-    assert {v.rule_id for v in violations} == {"rng-discipline"}
+              'import random  # analyze: disable=no-wall-clock\n')
+    assert rule_ids_in(tmp_path, source) == {"rng-discipline"}
+
+
+def test_retired_lint_pragma_suppresses_nothing(tmp_path):
+    source = ('__all__ = []\n'
+              'import time\n'
+              'def f():\n'
+              '    return time.time()  # lint: disable=no-wall-clock\n')
+    report = analyze_source(tmp_path, source)
+    assert [v.rule_id for v in report.violations] == ["no-wall-clock"]
+    assert report.suppressed == 0
 
 
 # ----------------------------------------------------------------------
-# configuration
+# configuration: the one ``[tool.urllc5g.analyze]`` table
 # ----------------------------------------------------------------------
-def test_select_and_ignore():
-    config = LintConfig(select=("no-wall-clock", "rng-discipline"),
-                        ignore=("rng-discipline",))
-    active = {rule.rule_id for rule in config.active_rules()}
-    assert active == {"no-wall-clock"}
+def test_ignore_drops_a_lint_rule(tmp_path):
+    source = ('__all__ = []\n'
+              'import random\n'
+              'import time\n'
+              'def f():\n'
+              '    return time.time()\n')
+    config = AnalyzeConfig(ignore=("rng-discipline",))
+    report = analyze_source(tmp_path, source, config=config)
+    assert {v.rule_id for v in report.violations} == {"no-wall-clock"}
 
 
-def test_unknown_rule_id_rejected():
+def test_unknown_rule_id_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown rule"):
-        LintConfig(select=("no-such-rule",)).active_rules()
+        analyze_source(tmp_path, "__all__ = []\n",
+                       config=AnalyzeConfig(ignore=("no-such-rule",)))
 
 
-def test_per_path_baseline(tmp_path):
-    bad = tmp_path / "generators.py"
+def test_baseline_excuses_a_lint_finding(tmp_path):
+    bad = tmp_path / "src" / "generators.py"
+    bad.parent.mkdir()
     bad.write_text('__all__ = []\nimport random\n', encoding="utf-8")
-    strict = lint_paths([tmp_path])
+    strict = analyze_paths([bad.parent], use_cache=False)
     assert strict.exit_code == 1
-    baselined = lint_paths(
-        [tmp_path],
-        LintConfig(per_path={"generators.py": ("rng-discipline",)}))
+    baseline_file = tmp_path / "accepted.json"
+    write_baseline(baseline_file, strict.violations)
+    baselined = analyze_paths([bad.parent], use_cache=False,
+                              baseline=load_baseline(baseline_file))
     assert baselined.exit_code == 0
+    assert baselined.baselined == 1
 
 
 def test_exclude_glob(tmp_path):
     bad = tmp_path / "vendored.py"
     bad.write_text("import random\n", encoding="utf-8")
-    report = lint_paths([tmp_path], LintConfig(exclude=("vendored.py",)))
+    report = analyze_paths([tmp_path],
+                           AnalyzeConfig(exclude=("vendored.py",)),
+                           use_cache=False)
     assert report.files_checked == 0
-
-
-def test_severity_override_downgrades_to_warning(tmp_path):
-    bad = tmp_path / "mod.py"
-    bad.write_text("import random\n__all__ = []\n", encoding="utf-8")
-    config = LintConfig(
-        severity_overrides={"rng-discipline": Severity.WARNING})
-    report = lint_paths([tmp_path], config)
-    assert report.errors == []
-    assert len(report.warnings) == 1
-    assert report.exit_code == 0
 
 
 def test_load_config_from_pyproject(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
-        '[tool.urllc5g.lint]\n'
+        '[tool.urllc5g.analyze]\n'
         'ignore = ["public-api-exports"]\n'
-        'exclude = ["gen/*"]\n'
-        '[tool.urllc5g.lint.per-path]\n'
-        '"sim/rng.py" = ["rng-discipline"]\n'
-        '[tool.urllc5g.lint.severity]\n'
-        '"no-float-tick-equality" = "warning"\n',
+        'exclude = ["gen/*"]\n',
         encoding="utf-8")
-    config = load_config(start=tmp_path)
+    config = load_analyze_config(start=tmp_path)
     assert config.ignore == ("public-api-exports",)
     assert config.exclude == ("gen/*",)
-    assert config.per_path == {"sim/rng.py": ("rng-discipline",)}
-    assert config.severity_overrides == {
-        "no-float-tick-equality": "warning"}
 
 
 def test_load_config_defaults_when_table_missing(tmp_path):
     (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n",
                                              encoding="utf-8")
-    config = load_config(start=tmp_path)
-    assert config == LintConfig()
+    config = load_analyze_config(start=tmp_path)
+    assert config == AnalyzeConfig()
 
 
 def test_load_config_rejects_bad_types(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
-        '[tool.urllc5g.lint]\nselect = "oops"\n', encoding="utf-8")
+        '[tool.urllc5g.analyze]\nignore = "oops"\n', encoding="utf-8")
     with pytest.raises(ValueError, match="list of strings"):
-        load_config(start=tmp_path)
+        load_analyze_config(start=tmp_path)
 
 
-def test_repo_config_names_only_known_rules():
-    repo_root = Path(__file__).resolve().parents[2]
-    config = load_config(pyproject=repo_root / "pyproject.toml")
-    config.active_rules()  # raises on unknown ids
+def test_repo_config_names_only_known_rules(tmp_path):
+    config = load_analyze_config(pyproject=REPO_ROOT / "pyproject.toml")
+    # analyze_paths raises on an unknown id in the ignore list.
+    analyze_source(tmp_path, "__all__ = []\n", config=config)
 
 
 # ----------------------------------------------------------------------
 # reporters
 # ----------------------------------------------------------------------
 def test_text_reporter_lists_violations_and_summary():
-    report = lint_paths([FIXTURES / "bad_units.py"])
-    text = render_text(report)
+    report = analyze_paths([FIXTURES / "bad_units.py"], use_cache=False)
+    text = render_analysis_text(report)
     assert "unit-suffix-mixing" in text
     assert "bad_units.py:" in text
-    assert "1 file(s) checked" in text
+    assert "1 file(s) analyzed" in text
 
 
 def test_json_reporter_round_trips():
-    report = lint_paths([FIXTURES / "bad_exports.py"])
-    payload = json.loads(render_json(report))
-    assert payload["errors"] == 1
+    report = analyze_paths([FIXTURES / "bad_exports.py"], use_cache=False)
+    payload = json.loads(render_analysis_json(report))
+    assert payload["exit_code"] == 1
+    assert len(payload["violations"]) == 1
     assert payload["violations"][0]["rule"] == "public-api-exports"
     assert payload["violations"][0]["line"] == 1
 
 
 def test_sarif_reporter_shares_the_common_writer():
-    report = lint_paths([FIXTURES / "bad_units.py"])
-    document = json.loads(render_sarif(report))
+    report = analyze_paths([FIXTURES / "bad_units.py"], use_cache=False)
+    document = json.loads(render_analysis_sarif(report))
     assert document["version"] == "2.1.0"
     driver = document["runs"][0]["tool"]["driver"]
-    assert driver["name"] == "urllc5g-lint"
+    assert driver["name"] == "urllc5g-analyze"
     listed = {rule["id"] for rule in driver["rules"]}
-    # Every registered rule appears, found or not.
+    # Every lint rule appears, found or not.
     assert EXPECTED_RULES | {SYNTAX_ERROR_RULE_ID} <= listed
     results = document["runs"][0]["results"]
-    assert {r["ruleId"] for r in results} == {"unit-suffix-mixing"}
+    assert {r["ruleId"] for r in results} & EXPECTED_RULES == {
+        "unit-suffix-mixing"}
 
 
 def test_clean_report_says_clean(tmp_path):
-    good = tmp_path / "mod.py"
-    good.write_text('__all__ = []\n', encoding="utf-8")
-    text = render_text(lint_paths([tmp_path]))
-    assert "clean" in text
+    report = analyze_source(tmp_path, '__all__ = []\n')
+    assert report.exit_code == 0
+    assert "0 finding(s)" in render_analysis_text(report)
+
+
+# ----------------------------------------------------------------------
+# one parse per file, and the cache replays the findings
+# ----------------------------------------------------------------------
+def test_cold_run_parses_each_file_once_and_warm_run_replays(tmp_path):
+    tree = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, tree)
+    cache_file = tmp_path / "cache.json"
+    parses: list[str] = []
+    PARSE_HOOKS.append(parses.append)
+    try:
+        cold = analyze_paths([tree], cache_path=cache_file)
+        assert sorted(parses) == sorted(set(parses))
+        assert len(parses) == cold.files_checked == 8
+        parses.clear()
+        warm = analyze_paths([tree], cache_path=cache_file)
+    finally:
+        PARSE_HOOKS.remove(parses.append)
+    assert parses == []
+    assert warm.from_cache == 8
+    assert len(lint_findings(cold)) == 18
+    assert lint_findings(warm) == lint_findings(cold)
 
 
 # ----------------------------------------------------------------------
 # the repository itself is lint-clean
 # ----------------------------------------------------------------------
 def test_src_tree_is_lint_clean():
-    repo_root = Path(__file__).resolve().parents[2]
-    config = load_config(pyproject=repo_root / "pyproject.toml")
-    report = lint_paths([repo_root / "src"], config)
-    assert report.exit_code == 0, render_text(report)
-    # The reviewed baseline lives in pyproject.toml, not in scattered
-    # pragma comments: the src tree must contain none.
+    config = load_analyze_config(pyproject=REPO_ROOT / "pyproject.toml")
+    report = analyze_paths([REPO_ROOT / "src"], config, use_cache=False)
+    assert report.exit_code == 0, render_analysis_text(report)
+    assert lint_findings(report) == []
+    # The reviewed exceptions live in analyze-baseline.json, not in
+    # scattered pragma comments: the src tree must contain none.
     assert report.suppressed == 0
 
 
 # ----------------------------------------------------------------------
 # fault-streams-named delegates name resolution to the detsan resolver
 # ----------------------------------------------------------------------
-def test_fault_stream_fstring_with_literal_prefix_is_clean():
+def test_fault_stream_fstring_with_literal_prefix_is_clean(tmp_path):
     source = (
         "class Injector:\n"
         "    def __init__(self, rngs, kind, index):\n"
         "        self.rng = rngs.stream(f\"fault.{kind}.{index}\")\n"
     )
     assert "fault-streams-named" not in rule_ids_in(
-        source, "faults/injectors.py")
+        tmp_path, source, "faults/injectors.py")
 
 
-def test_fault_stream_dynamic_name_reported_as_unresolvable():
+def test_fault_stream_dynamic_name_reported_as_unresolvable(tmp_path):
     source = (
         "def acquire(rngs, name):\n"
         "    return rngs.stream(name)\n"
     )
-    violations, _ = lint_source(source, "faults/dynamic.py", rules())
-    hits = [v for v in violations if v.rule_id == "fault-streams-named"]
+    report = analyze_source(tmp_path, source, "faults/dynamic.py")
+    hits = [v for v in report.violations
+            if v.rule_id == "fault-streams-named"]
     assert len(hits) == 1
     assert "resolved statically" in hits[0].message
 
 
-def test_fault_stream_resolved_template_in_message():
+def test_fault_stream_resolved_template_in_message(tmp_path):
     source = (
         "def acquire(rngs, index):\n"
         "    return rngs.stream(f\"link.{index}\")\n"
     )
-    violations, _ = lint_source(source, "faults/wrongprefix.py", rules())
-    hits = [v for v in violations if v.rule_id == "fault-streams-named"]
+    report = analyze_source(tmp_path, source, "faults/wrongprefix.py")
+    hits = [v for v in report.violations
+            if v.rule_id == "fault-streams-named"]
     assert len(hits) == 1
     assert "'link.{*}'" in hits[0].message
