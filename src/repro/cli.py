@@ -172,8 +172,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.write_baseline:
-        write_baseline(args.write_baseline, report.violations)
-        print(f"wrote {len(report.violations)} finding(s) to "
+        written = write_baseline(args.write_baseline, report.violations)
+        print(f"wrote {written} finding(s) to "
               f"{args.write_baseline}")
         return 0
     renderers = {"json": render_analysis_json,

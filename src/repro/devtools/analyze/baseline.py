@@ -76,11 +76,13 @@ def load_baseline(path: str | Path) -> Baseline:
 
 
 def write_baseline(path: str | Path,
-                   violations: Sequence[Violation]) -> None:
-    """Write all current findings as the new accepted baseline.
+                   violations: Sequence[Violation]) -> int:
+    """Write all current findings as the new accepted baseline and
+    return the number of entries written.
 
     Entries carry the human-readable finding next to its fingerprint so
-    baseline diffs are reviewable; only the fingerprint is matched.
+    baseline diffs are reviewable; only the fingerprint is matched, so
+    findings sharing one fingerprint make a single entry.
     """
     findings = sorted(
         ({"fingerprint": fingerprint(violation),
@@ -97,3 +99,4 @@ def write_baseline(path: str | Path,
                "findings": unique}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n",
                           encoding="utf-8")
+    return len(unique)

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 __all__ = ["Window", "WindowIndex", "OpportunityTimeline",
-           "PeriodicInstants"]
+           "PeriodicInstants", "first_joining_window"]
 
 
 @dataclass(frozen=True, order=True)
@@ -300,6 +300,55 @@ class WindowIndex:
         cyc2, base2 = np.divmod(k_next, self.n_windows)
         start2 = self._starts_arr[base2] + cyc2 * self.period_tc
         return np.where(ok, entry, start2)
+
+
+def first_joining_window(index: WindowIndex, ready: int, min_tx: int,
+                         wire: int, capacities: Sequence[int],
+                         used: Callable[[int], int]
+                         ) -> tuple[int, int, int]:
+    """Configured-grant window a grant-free packet joins:
+    ``(k, start, end)`` of global window ``k``.
+
+    The joining rule of the analytical model, applied to one UE's
+    pre-allocated capacity: scanning from the first window ending after
+    ``ready``, a window is usable when at least ``min_tx`` ticks remain
+    after ``max(ready, start)`` and its capacity (``capacities`` per
+    base window, the same in every period) has room for ``wire`` more
+    bytes beyond ``used(start)`` — the bytes the UE has already planned
+    there, 0 when it has planned nothing.
+
+    Both engines plan through this function.  The scan is bounded: once
+    a full period of *empty* windows has been rejected, it raises
+    :class:`LookupError` if no window of the period could hold ``wire``
+    bytes even whole and empty (no later cycle can either).  Otherwise a
+    plan-free window that fits lies ahead — the UE's open plans are
+    finite — and the scan goes on to it.
+    """
+    n = index.n_windows
+    period = index.period_tc
+    starts = index.starts
+    ends = index.ends
+    k = index.first_ending_after(ready)
+    empty = 0
+    while True:
+        cycle, base = divmod(k, n)
+        offset = cycle * period
+        start = starts[base] + offset
+        end = ends[base] + offset
+        if end - (ready if ready > start else start) >= min_tx:
+            taken = used(start)
+            if taken + wire <= capacities[base]:
+                return k, start, end
+            if taken:
+                k += 1
+                continue
+        empty += 1
+        if empty == n + 1 and not any(
+                duration >= min_tx and capacity >= wire
+                for duration, capacity in zip(index.durations,
+                                              capacities)):
+            raise LookupError("no usable configured-grant window found")
+        k += 1
 
 
 class PeriodicInstants:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from repro.mac import bsr
-from repro.mac.opportunities import OpportunityTimeline, Window
+from repro.mac.opportunities import Window, first_joining_window
 from repro.mac.scheduler import UlGrant
 from repro.mac.scheme import DuplexingScheme
 from repro.mac.types import AccessMode
@@ -123,6 +123,9 @@ class Ue:
         self.sr_offset_tc = sr_offset_tc
         self.cg_capacity_bytes = cg_capacity_bytes or (
             lambda window: 10**9)
+        # CG capacity is periodic: one figure per window of the period.
+        self._cg_capacities = tuple(self.cg_capacity_bytes(window)
+                                    for window in self._ul.windows)
         self.on_ul_block = on_ul_block or (lambda ue, w, p: None)
         self.on_sr = on_sr or (lambda ue, bsr: None)
         self.on_delivered = on_delivered or (lambda p: None)
@@ -161,35 +164,30 @@ class Ue:
         now = self.sim.now
         prep_tc = tc_from_us(self.phy_prep.sample(self.rng))
         radio_tc = self._radio_tc()
-        ready = now + prep_tc + radio_tc
-        for window in self._ul.windows_from(ready):
-            entry = max(ready, window.start)
-            if window.end - entry < self.min_tx_tc:
-                continue
-            plan = self._planned.get(window.start)
-            capacity = self.cg_capacity_bytes(window)
-            used = plan.bytes_used if plan else 0
-            if used + packet.wire_bytes > capacity:
-                continue
-            if plan is None:
-                plan = _PlannedWindow(window)
-                self._planned[window.start] = plan
-                self.sim.schedule(window.end, self._transmit_planned,
-                                  window.start)
-            plan.packets.append(packet)
-            plan.bytes_used += packet.wire_bytes
-            packet.charge(LatencySource.PROCESSING, prep_tc)
-            packet.charge(LatencySource.RADIO, radio_tc)
-            packet.charge(LatencySource.PROTOCOL,
-                          window.end - now - prep_tc - radio_tc)
-            packet.stamp("ue.mac.cg_planned", now)
-            if self.tracer.enabled:
-                self.tracer.emit(now, f"ue{self.ue_id}.mac", "cg_planned",
-                                 packet_id=packet.packet_id,
-                                 window_start=window.start,
-                                 retransmission=is_retransmission)
-            return
-        raise LookupError("no usable configured-grant window found")
+        if self._ul.is_empty():
+            raise LookupError("no usable configured-grant window found")
+        planned = self._planned
+        _k, start, end = first_joining_window(
+            self._ul.index(), now + prep_tc + radio_tc, self.min_tx_tc,
+            packet.wire_bytes, self._cg_capacities,
+            lambda s: planned[s].bytes_used if s in planned else 0)
+        plan = planned.get(start)
+        if plan is None:
+            plan = _PlannedWindow(Window(start, end))
+            planned[start] = plan
+            self.sim.schedule(end, self._transmit_planned, start)
+        plan.packets.append(packet)
+        plan.bytes_used += packet.wire_bytes
+        packet.charge(LatencySource.PROCESSING, prep_tc)
+        packet.charge(LatencySource.RADIO, radio_tc)
+        packet.charge(LatencySource.PROTOCOL,
+                      end - now - prep_tc - radio_tc)
+        packet.stamp("ue.mac.cg_planned", now)
+        if self.tracer.enabled:
+            self.tracer.emit(now, f"ue{self.ue_id}.mac", "cg_planned",
+                             packet_id=packet.packet_id,
+                             window_start=start,
+                             retransmission=is_retransmission)
 
     def _transmit_planned(self, window_start: int) -> None:
         plan = self._planned.pop(window_start)

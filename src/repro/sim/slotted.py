@@ -5,27 +5,59 @@ components) spends most of a multi-UE uplink run on per-packet
 machinery: one :class:`~repro.sim.engine.Event` object, several closure
 allocations, a handful of dict stamps and — dominating everything — a
 scalar ``Generator.lognormal`` round trip per layer transit.  None of
-that is needed to *decide* anything: the grant-free uplink path has a
-fixed event grammar (arrival → five UE layers → CG planning → window
-transmit → link fate → five gNB layers → UPF), so a population of
-10k–100k UEs can be driven by a lean mirror executor instead.
+that is needed to *decide* anything: the grant-free uplink path is the
+fixed packet journey of the paper's Fig 3 (arrival → five UE layers →
+CG planning → window transmit → link fate → five gNB layers → UPF), so
+a population of 10k–100k UEs can be driven by a lean mirror executor.
 
-:class:`SlottedUplink` replays exactly that grammar on a heap of plain
-tuples, with
+:class:`SlottedUplink` replays that journey on a heap of plain tuples,
+with all per-packet state in columnar form (:class:`UePopulation`) and
+one method per stage.  :meth:`SlottedUplink.run` is only the
+``(time, seq)`` merge of three ordered streams — pre-passed CG plans,
+pending arrivals, the event heap — dispatching each entry to its stage:
 
-- all per-packet state held in columnar form (:class:`UePopulation`),
-- every lognormal layer draw served from pre-drawn blocks of standard
-  normals (:class:`~repro.sim.sampling.LogNormalBlockServer`), one
-  exclusive server per ``ue<N>`` stream and one for the shared ``gnb``
-  stream,
-- pre-queued arrivals kept in a sorted list and merged into the event
-  loop, so the live heap holds only in-flight work,
-- window arithmetic answered by the flat
-  :class:`~repro.mac.opportunities.WindowIndex` and the memoized
-  :meth:`~repro.mac.scheduler.GnbMacScheduler.capacity_for_duration`,
-- delivered latencies recorded in delivery order by
-  :class:`ArrayLatencyProbe`, which duck-types the read API of
-  :class:`~repro.net.probes.LatencyProbe`.
+*UE chain (Fig 3 ①–⑤).*  Every lognormal layer draw is served from
+pre-drawn blocks of standard normals
+(:class:`~repro.sim.sampling.LogNormalBlockServer`, one exclusive
+server per ``ue<N>`` stream).  In never-fail untraced runs
+``_prepass`` evaluates each packet's five transit draws plus its
+PHY-prep draw up front, vectorized per UE, and replays the rare
+overlapping chains draw for draw on a local heap; no UE event reaches
+the heap.  Otherwise ``_arrive`` commits a packet's whole chain as one
+``_PLAN`` event when the UE-side guard holds (nothing of the UE in
+flight, its next arrival strictly after the chain end), else enters the
+per-layer ``_UE_LAYER`` path, which serves the same normals one at a
+time.
+
+*CG planning.*  ``_plan_cg`` puts the packet into the earliest
+configured-grant window with room via
+:func:`~repro.mac.opportunities.first_joining_window` — the joining-rule
+function the scalar :class:`~repro.net.ue.Ue` calls too, so both
+engines make the window choice with one copy of the code.
+
+*Air (Fig 3 ⑦–⑧).*  A planned block leaves at its window end.  When the
+link can neither fail nor draw, the window-end hop folds into one
+``_AIR`` landing event (``_fly``); otherwise ``_transmit`` decides the
+block's fate on the shared link objects and either lands it
+(``_DELIVER``) or queues the survivors' HARQ re-planning
+(``_RETRANSMIT``).
+
+*gNB (Fig 3 ⑨).*  Landed packets climb PHY→SDAP on the shared ``gnb``
+stream, read in committed chunks by a :class:`_ChunkReader`.  Slot
+alignment makes blocks land in same-tick cohorts; ``_gnb_cohort``
+simulates a cohort's chains on a local heap in the scalar engine's
+merge order, under the gNB-side guard: **a fused gNB cohort commits
+only if its last exit is before the next landing** — no other
+consumer of the ``gnb`` stream can interleave with its draws.  When the
+guard fails, or a gNB chain is already on the per-layer path, every
+packet takes one ``_GNB_LAYER`` event per layer (``_gnb_enter``).
+
+*Core (Fig 3 ⑩).*  ``_upf_forward`` draws the UPF delay (chunk-read
+like the ``gnb`` stream) and outage and schedules the completion.  In
+runs without a tracer or fault hooks, completions skip the heap and are
+drained after the loop in the ``(time, seq)`` order the heap would have
+given (``_finish``); ``_record`` writes each delivery into
+:class:`ArrayLatencyProbe`.
 
 Bit-identity contract
 ---------------------
@@ -46,16 +78,14 @@ equivalence suite in ``tests/integration/test_slotted_equivalence.py``):
    Stateful objects — the link's channel and uniform buffer, the UPF's
    buffered sampler, the fault injectors — are *shared* with the scalar
    wiring rather than reimplemented.
-3. *Guarded fusion.*  The per-packet UE draw chain (five transit draws
-   plus the PHY-prep draw) is evaluated speculatively via
-   ``LogNormalBlockServer.peek`` and committed as one event **only**
-   when no other event of the same UE — the sole other consumer of
-   that stream — can fall inside the chain's time span (no packet of
-   the UE in flight, next arrival at or after the chain end).  When
-   the guard fails, the peeked normals are left unconsumed and the
-   per-layer event path serves them one at a time, so both paths
-   produce the identical value sequence.  Fusion is disabled entirely
-   when tracing, because the trace stream must interleave per-layer.
+3. *Guarded fusion.*  A fused UE chain or gNB cohort is evaluated
+   speculatively on peeked values and committed **only** when its
+   guard above proves that no other consumer of the same stream can
+   fall inside its time span.  When a guard fails, the peeked values
+   are left unconsumed and the per-layer event path serves them one at
+   a time, so both paths produce the identical value sequence.  Fusion
+   is disabled entirely when tracing, because the trace stream must
+   interleave per layer.
 4. *A real clock for the side effects.*  Fault hooks and the tracer
    read ``sim.now``; with either active the executor moves the
    simulator's clock forward with
@@ -71,12 +101,12 @@ path in that case, ``engine="slotted"`` raises.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.mac.opportunities import first_joining_window
 from repro.mac.types import AccessMode
 from repro.net.probes import LatencySummary, summarize_us
 from repro.phy.channel import IidErasureChannel, PerfectChannel
@@ -111,7 +141,8 @@ _DELIVER = 3        # (t, seq, code, rows)
 _GNB_LAYER = 5      # (t, seq, code, row, layer_k, delay_us, submitted)
 _UPF_DONE = 6       # (t, seq, code, row, submitted)
 _RETRANSMIT = 7     # (t, seq, code, ue, rows)
-_PLAN = 8           # (t, seq, code, row, ue) — fused-chain MAC exit
+_PLAN = 8           # (t, seq, code, row, ue, prep_us) — fused-chain
+                    # MAC exit
 _AIR = 9            # (t, seq, code, ue, window_start) — transmit+fly
                     # folded into one landing event (never-fail links)
 
@@ -120,10 +151,13 @@ _AIR = 9            # (t, seq, code, ue, window_start) — transmit+fly
 _KIND_CONST = 0
 _KIND_LOGNORMAL = 1
 
-#: Sentinel "no further arrival" time for the fusion guard.
+#: Sentinel "no further arrival / landing" time for the fusion guards.
 _FAR_FUTURE = 1 << 62
 
 _US_PER_SECOND = 1_000_000
+
+#: Values a :class:`_ChunkReader` pulls from its stream per refill.
+_CHUNK = 1024
 
 
 def _compile_sampler(sampler: DelaySampler) -> tuple[int, float, float]:
@@ -287,6 +321,68 @@ class UePopulation:
         return len(self.ue)
 
 
+class _ChunkReader:
+    """Plain-list reader over a peek/commit stream.
+
+    The ``gnb`` and ``upf`` streams are drawn once per layer transit in
+    data-dependent order; serving each draw through the stream object
+    costs a method call apiece.  Instead, values are pulled from the
+    stream in committed chunks into a list and indexed inline.  The
+    stream refills on its own whole-block grid either way, so the served
+    sequence is unchanged.  With block drawing disabled
+    (``force_sequential``) ``peek`` returns None, the reader stays empty
+    and :meth:`take` returns None: the caller draws on the stream's
+    scalar path instead.
+    """
+
+    __slots__ = ("buf", "pos", "_peek", "_commit")
+
+    def __init__(self, peek: Callable | None, commit: Callable | None):
+        self.buf: list[float] = []
+        self.pos = 0
+        self._peek = peek
+        self._commit = commit
+
+    def _topup(self) -> bool:
+        fresh = self._peek(_CHUNK) if self._peek is not None else None
+        if fresh is None:
+            return False
+        self._commit(_CHUNK)
+        self.buf = self.buf[self.pos:] + fresh.tolist()
+        self.pos = 0
+        return True
+
+    def ensure(self, n: int) -> bool:
+        """Whether ``n`` values are buffered (refilling as needed)."""
+        while len(self.buf) - self.pos < n:
+            if not self._topup():
+                return False
+        return True
+
+    def take(self) -> float | None:
+        """The next value, or None when block drawing is disabled."""
+        if self.pos >= len(self.buf) and not self._topup():
+            return None
+        value = self.buf[self.pos]
+        self.pos += 1
+        return value
+
+
+def _next_same_ue(arrivals: list[tuple[int, int, int]],
+                  ue_col: list[int]) -> list[int]:
+    """Per sorted arrival, the next arrival time of the same UE — the
+    UE-side fusion guard input (:data:`_FAR_FUTURE` if none)."""
+    next_same = [_FAR_FUTURE] * len(arrivals)
+    last_seen: dict[int, int] = {}
+    for i, (t, _seq, row) in enumerate(arrivals):
+        u = ue_col[row]
+        j = last_seen.get(u)
+        if j is not None:
+            next_same[j] = t
+        last_seen[u] = i
+    return next_same
+
+
 class SlottedUplink:
     """Mirror executor for the grant-free uplink event grammar.
 
@@ -311,15 +407,16 @@ class SlottedUplink:
         self.population = UePopulation(system.config.n_ues)
         self.cg_share = system.cg_share
 
-        # Window arithmetic: the flat index over the UL timeline plus
-        # the UE-side minimum transmission length (two symbols, as in
-        # repro.net.ue.Ue).
+        # Window arithmetic: the flat index over the UL timeline, the
+        # UE-side minimum transmission length (two symbols, as in
+        # repro.net.ue.Ue) and the per-UE CG capacity of each base
+        # window (the share is fixed for the run).
         self._windex = system.scheme.ul_timeline().index()
         symbol_tc = (system.scheme.numerology.slot_duration_tc // 14)
         self.min_tx_tc = max(1, 2 * symbol_tc)
-        # Per-UE CG capacity memo keyed by window duration (the share
-        # is fixed for the run, so one int per distinct duration).
-        self._cap_cache: dict[int, int] = {}
+        self._cap_by_base = tuple(
+            self.scheduler.cg_capacity_for(duration, self.cg_share)
+            for duration in self._windex.durations)
 
         # Compiled layer tables.  UE side: APP..MAC transit draws plus
         # the PHY preparation draw, all on the per-UE stream.  gNB
@@ -332,12 +429,24 @@ class SlottedUplink:
         self._gnb_specs = tuple(
             _compile_sampler(layer.delay)
             for layer in system.gnb.up_pipeline.layers)
+        self._gnb_draws = sum(1 for spec in self._gnb_specs if spec[0])
         self._dilation = (self.faults.processing_dilation
                           if self.faults is not None else None)
+        # Chain-total form of the UE specs: the total transit is a sum,
+        # so constant layers collapse to one precomputed term and the
+        # lognormal ones zip against the peeked normals (stream order
+        # is preserved — only lognormal layers consume a draw).
+        self._chain_draws = sum(1 for spec in self._ue_specs if spec[0])
+        self._peek_n = self._chain_draws + (1 if self._prep_spec[0] else 0)
+        self._ue_ln = tuple((a, b) for kind, a, b in self._ue_specs
+                            if kind)
+        self._ue_const_tc = sum(tc_from_us(a)
+                                for kind, a, _b in self._ue_specs
+                                if not kind)
 
         # Exclusive block-served RNG streams.  Per-UE servers are
         # created lazily (sized from the UE's queued-packet count); the
-        # gNB server is created on first delivery.
+        # gNB server is created when the run starts.
         self._rngs = system.rngs
         self._ue_servers: dict[int, LogNormalBlockServer] = {}
         self._gnb_server: LogNormalBlockServer | None = None
@@ -353,9 +462,8 @@ class SlottedUplink:
         # Open CG plans: (ue_id, window_start) -> [window_k, rows, bytes]
         self._plans: dict[tuple[int, int], list] = {}
         # Completion times (arrival at the gNB) of every planned
-        # transmission still in the air — the gNB-side fusion guard: a
-        # fused gNB chain must finish strictly before the next block
-        # lands, else its draws could interleave with that block's.
+        # transmission still in the air — the gNB-side guard's "next
+        # landing" when transmissions can fail.
         self._air_times: list[int] = []
         self._prop_tc = system.link.propagation_tc
         # Packets of each UE that may still draw on the UE's stream —
@@ -364,15 +472,15 @@ class SlottedUplink:
         # count drops at the prep draw when the link can never fail,
         # and at transmit success / HARQ drop otherwise.
         self._ue_hot = [0] * (system.config.n_ues + 1)
+        # gNB chains running on the per-layer event path; cohort fusion
+        # waits until there are none.
+        self._gnb_busy = 0
         channel = system.link.channel
         self._can_fail = (system.link.fault_gate is not None
                           or not (isinstance(channel, PerfectChannel)
                                   or (isinstance(channel,
                                                  IidErasureChannel)
                                       and channel.bler == 0.0)))
-        # Set by run(): transmissions neither fail nor draw, so the
-        # window-end hop is folded into the landing event (_AIR).
-        self._fast_tx = False
         # Lazy per-UE trace category tuples (built only when tracing).
         self._trace_cats: dict[int, tuple[str, ...]] = {}
         self._ran = False
@@ -401,7 +509,7 @@ class SlottedUplink:
             pending.append((arrival, seq, row))
 
     # ------------------------------------------------------------------
-    # RNG servers
+    # helpers
     # ------------------------------------------------------------------
     def _ue_server(self, ue_id: int) -> LogNormalBlockServer:
         server = self._ue_servers.get(ue_id)
@@ -416,16 +524,6 @@ class SlottedUplink:
             self._ue_servers[ue_id] = server
         return server
 
-    def _gnb_rng_server(self) -> LogNormalBlockServer:
-        server = self._gnb_server
-        if server is None:
-            total = len(self.population)
-            block = min(4 * DEFAULT_BLOCK, max(64, 5 * total))
-            server = LogNormalBlockServer(
-                self._rngs.stream("gnb"), block)
-            self._gnb_server = server
-        return server
-
     def _categories(self, ue_id: int) -> tuple[str, ...]:
         cats = self._trace_cats.get(ue_id)
         if cats is None:
@@ -434,6 +532,43 @@ class SlottedUplink:
             self._trace_cats[ue_id] = cats
         return cats
 
+    def _push(self, time: int, *fields) -> None:
+        """Schedule a mirror event with the next sequence number."""
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (time, seq) + fields)
+
+    def _start(self) -> None:
+        """Fix the run's execution modes and open the shared streams."""
+        tracer = self.tracer
+        # Tracing needs per-layer emissions in event order; fault hooks
+        # read sim.now.  Either one forces the per-event path / clock.
+        self._emit = tracer.emit if tracer.enabled else None
+        self._fuse_ue = self._emit is None
+        self._precise = self._emit is not None or self.faults is not None
+        # gNB-side fusion additionally requires fault-free layers (the
+        # dilation hook reads per-category state in event order).
+        self._fuse_gnb = self._fuse_ue and self._dilation is None
+        # Transmissions that neither fail nor draw fold the window-end
+        # hop into the landing event (_AIR).
+        link = self.link
+        self._fast_tx = (not self._can_fail and self._emit is None
+                         and link._uniforms is None
+                         and link.fault_gate is None)
+        if self._fast_tx:
+            link.last_fault_fate = None
+        # UPF completions have no side effects beyond the probe, so in
+        # imprecise runs (no tracer, no fault hooks reading the clock)
+        # they skip the heap and are drained after the loop.
+        self._done: list[tuple[int, int, int, int]] | None = (
+            None if self._precise else [])
+        block = min(4 * DEFAULT_BLOCK, max(64, 5 * len(self.population)))
+        self._gnb_server = server = LogNormalBlockServer(
+            self._rngs.stream("gnb"), block)
+        self._gnb_reader = _ChunkReader(server.peek, server.commit)
+        upf_delay = self.upf.delay
+        self._upf_reader = _ChunkReader(getattr(upf_delay, "peek", None),
+                                        getattr(upf_delay, "commit", None))
+
     # ------------------------------------------------------------------
     # the executor
     # ------------------------------------------------------------------
@@ -441,448 +576,51 @@ class SlottedUplink:
         """Drain pending arrivals and the mirror heap (the slotted
         ``run_until_idle``).
 
-        The body is one deliberately monolithic loop: at 100k UEs every
-        event dispatch runs millions of times, so the hot handlers (gNB
-        layer transits, deliveries, UPF completions) are inlined with
-        local aliases instead of going through methods.  Cold handlers
-        (CG planning, transmission, retransmission) stay methods.
+        A ``(time, seq)`` merge of the pre-passed plan stream, the
+        sorted arrivals and the event heap.  The side streams' seqs
+        predate all runtime seqs, so same-tick ties resolve to them —
+        as in the scalar engine, where queue-time ``schedule()`` calls
+        get the earliest sequence numbers.  At most one side stream is
+        live: the pre-pass consumes every arrival.
         """
         self._ran = True
-        tracer = self.tracer
-        emit = tracer.emit if tracer.enabled else None
-        # Tracing needs per-layer emissions in event order; fault hooks
-        # read sim.now.  Either one forces the per-event path / clock.
-        fuse_ue = emit is None
-        precise = emit is not None or self.faults is not None
-
-        arrivals = sorted(self._arrivals)
+        self._start()
+        arrivals = self._arrivals
+        arrivals.sort()
         n_arr = len(arrivals)
-        # Fusion guard input: the next arrival time of the same UE.  A
-        # chain ending at or before it cannot interleave with any other
-        # consumer of the UE's stream (given nothing is in flight).
-        pop = self.population
-        ue_col = pop.ue
-        next_same = [_FAR_FUTURE] * n_arr
-        last_seen: dict[int, int] = {}
-        for i in range(n_arr):
-            u = ue_col[arrivals[i][2]]
-            j = last_seen.get(u)
-            if j is not None:
-                next_same[j] = arrivals[i][0]
-            last_seen[u] = i
-
-        # Local aliases for the hot loop.
-        heap = self._heap
-        sim = self.sim
-        advance = sim.advance_to
-        exp = math.exp
-        pid_col = pop.packet_id
-        created = pop.created
-        bp = pop.budget_processing
-        brad = pop.budget_radio
-        delivered_col = pop.delivered_tc
-        ue_hot = self._ue_hot
-        can_fail = self._can_fail
-        ue_specs = self._ue_specs
-        gnb_specs = self._gnb_specs
-        chain_draws = sum(1 for spec in ue_specs if spec[0])
-        prep_kind, prep_a, prep_b = self._prep_spec
-        peek_n = chain_draws + (1 if prep_kind else 0)
-        gnb_draws = sum(1 for spec in gnb_specs if spec[0])
-        # Chain-total form of the UE specs: the total transit is a sum,
-        # so constant layers collapse to one precomputed term and the
-        # lognormal ones zip against the peeked normals (stream order
-        # is preserved — only lognormal layers consume a draw).
-        ue_ln = [(a, b) for kind, a, b in ue_specs if kind]
-        ue_const_tc = sum(round(a * TC_PER_SECOND / _US_PER_SECOND)
-                          for kind, a, _b in ue_specs if not kind)
-        servers = self._ue_servers
-        dilation = self._dilation
-        gserver = self._gnb_rng_server()
-        gsample = gserver.sample
-        # The gnb stream is drawn 5× per packet in data-dependent
-        # order; serving those draws through sample() costs a method
-        # call each.  Instead, normals are pulled from the server in
-        # committed chunks into a plain list and indexed inline — the
-        # refills happen on the server's whole-block grid either way,
-        # so the served sequence is unchanged.  When block drawing is
-        # disabled (force_sequential) the chunk pull reports failure
-        # and every draw falls back to the scalar sample() path.
-        gchunk = 1024
-        gbuf: list[float] = []
-        gi = 0
-        gn = 0
-
-        def _gtopup() -> bool:
-            nonlocal gbuf, gi, gn
-            fresh = gserver.peek(gchunk)
-            if fresh is None:
-                return False
-            gserver.commit(gchunk)
-            gbuf = gbuf[gi:] + fresh.tolist()
-            gn = len(gbuf)
-            gi = 0
-            return True
-
-        def _gdraw(a: float, b: float) -> float:
-            nonlocal gi
-            if _gtopup():
-                z = gbuf[gi]
-                gi += 1
-                return exp(a + b * z)
-            return gsample(a, b)
-
-        # gNB-side fusion additionally requires fault-free layers (the
-        # dilation hook reads per-category state in event order).
-        fuse_gnb = fuse_ue and dilation is None
-        air_times = self._air_times
-        gnb_busy = 0  # gNB chains running on the per-layer event path
-        upf = self.upf
-        upf_sample = upf.delay.sample
-        upf_rng = upf.rng
-        upf_outage = upf.outage
-        # The upf stream gets the same committed-chunk treatment as the
-        # gnb stream; its BufferedSampler serves *transformed* delay
-        # values, so the chunks hold microseconds, not normals.
-        upf_peek = getattr(upf.delay, "peek", None)
-        upf_commit = getattr(upf.delay, "commit", None)
-        uchunk = 1024
-        ubuf: list[float] = []
-        ui = 0
-        un = 0
-
-        def _utopup() -> bool:
-            nonlocal ubuf, ui, un
-            if upf_peek is None:
-                return False
-            fresh = upf_peek(uchunk)
-            if fresh is None:
-                return False
-            upf_commit(uchunk)
-            ubuf = ubuf[ui:] + fresh.tolist()
-            un = len(ubuf)
-            ui = 0
-            return True
-
-        def _udraw() -> float:
-            nonlocal ui
-            if _utopup():
-                value = ubuf[ui]
-                ui += 1
-                return value
-            return upf_sample(upf_rng)
-
-        gnb_counters = self._system.gnb.counters
-        probe = self.probe
-        lat_append = probe._latencies_tc.append
-        tot_proc = tot_prot = tot_rad = 0
-        # Pure-sum counters accumulate in locals and flush once after
-        # the loop (attribute += on the dataclasses costs real time at
-        # one-per-block rates).
-        cg_alloc_acc = cg_used_acc = blocks_acc = out_acc = 0
-
-        # CG planning + transmission, inlined.  The _PLAN handler only
-        # ever fires on the fused path (emit is None), so its inline
-        # form needs no trace branch; _TRANSMIT additionally gets a
-        # fast path when the link can neither fail nor draw (perfect
-        # channel, no fault gate, no uniform buffer).
-        rnd = round
-        TCS = TC_PER_SECOND
-        USP = _US_PER_SECOND
-        plans = self._plans
-        windex = self._windex
-        w_starts = windex.starts
-        w_ends = windex.ends
-        w_durs = windex.durations
-        nwin = windex.n_windows
-        period = windex.period_tc
-        # One capacity per base window, precomputed: the CG-capacity
-        # memo behind _cg_capacity only ever sees these durations.
-        cap_by_base = [self._cg_capacity(d) for d in w_durs]
-        w_first_after = windex.first_ending_after
-        min_tx = self.min_tx_tc
-        payload = pop.payload
-        header = pop.header
-        bprot = pop.budget_protocol
-        link = self.link
-        link_counters = link.counters
-        prop_tc = self._prop_tc
-        sched_counters = self.scheduler.counters
-        pop_blocks = pop.blocks_sent
-        fast_tx = (not can_fail and emit is None
-                   and link._uniforms is None
-                   and link.fault_gate is None)
-        self._fast_tx = fast_tx
-        if fast_tx:
-            link.last_fault_fate = None
-
-        # UPF completions have no side effects beyond the probe, so in
-        # imprecise runs (no tracer, no fault hooks reading the clock)
-        # they skip the heap entirely and are drained — in the same
-        # (time, seq) order the heap would have given — after the loop.
-        defer_done = not precise
-        done: list[tuple[int, int, int, int]] = []
-        done_append = done.append
-        last_t = sim.now
-        ai = 0
-
-        # Plan pre-pass.  In never-fail untraced runs every packet is
-        # planned exactly once after a fixed draw-count transit, so the
-        # whole UE side collapses to a per-UE pre-pass: the chain math
-        # is vectorized over all of a UE's arrivals at once (each
-        # packet owns draws [i*peek_n, (i+1)*peek_n) of its stream),
-        # and the rare overlapping chains are replayed draw-for-draw on
-        # a local heap in the scalar engine's (time, seq) order.  The
-        # resulting plan stream — (chain_end, arrival_seq, row, ue,
-        # prep_us), sorted — merges into the main loop like the arrival
-        # stream, and no _PLAN or _UE_LAYER event ever reaches the
-        # heap.  Exactly peek_n draws commit per packet on either
-        # branch, so the sequential layout realigns after every
-        # cluster and the vectorized values stay valid.
-        plan_list: list[tuple[int, int, int, int, float]] = []
-        pi = 0
-        n_plans = 0
-        fast_plan = (fuse_ue and not can_fail and not precise
-                     and n_arr > 0 and buffering_enabled())
+        fast_plan = (self._fuse_ue and not self._can_fail
+                     and not self._precise and n_arr > 0
+                     and buffering_enabled())
         if fast_plan:
-            by_ue: dict[int, list[tuple[int, int, int]]] = {}
-            for entry in arrivals:
-                by_ue.setdefault(ue_col[entry[2]], []).append(entry)
-            ln_mu = np.array([a for kind, a, _b in ue_specs if kind]
-                             + ([prep_a] if prep_kind else []))
-            ln_sig = np.array([b for kind, _a, b in ue_specs if kind]
-                              + ([prep_b] if prep_kind else []))
-            kind0, a0, b0 = ue_specs[0]
-            for u, entries in by_ue.items():
-                server = servers.get(u)
-                if server is None:
-                    server = self._ue_server(u)
-                m = len(entries)
-                zz = server.peek(peek_n * m)
-                if zz is None:
-                    raise RuntimeError(
-                        "block drawing disabled mid-run")
-                # The exp stays scalar libm — np.exp differs from
-                # math.exp by 1 ulp on some inputs, and bit-identity
-                # tolerates none.  np.rint on these magnitudes is
-                # bitwise round().
-                args = np.tile(ln_mu, m) + np.tile(ln_sig, m) * zz
-                vals = list(map(exp, args.tolist()))
-                tcs = np.rint(np.asarray(vals) * TCS / USP)
-                tcs = tcs.astype(np.int64).reshape(m, peek_n)
-                chain = (tcs[:, :chain_draws].sum(axis=1)
-                         + ue_const_tc)
-                ends = (np.fromiter((e[0] for e in entries),
-                                    np.int64, m) + chain).tolist()
-                chain_l = chain.tolist()
-                zzl: list[float] | None = None
-                i = 0
-                c = 0
-                while i < m:
-                    a_i, aseq_i, row_i = entries[i]
-                    nxt = (entries[i + 1][0] if i + 1 < m
-                           else _FAR_FUTURE)
-                    end_i = ends[i]
-                    if nxt > end_i:
-                        # Strictly-later next arrival: the sequential
-                        # layout is the true draw order and the
-                        # vectorized values stand.
-                        plan_list.append((
-                            end_i, aseq_i, row_i, u,
-                            vals[c + chain_draws] if prep_kind
-                            else prep_a))
-                        bp[row_i] += chain_l[i]
-                        header[row_i] = _UE_WIRE_HEADER
-                        i += 1
-                        c += peek_n
-                        continue
-                    # Overlap cluster: interleaved replay.  Arrivals
-                    # admit before any local event at or after them
-                    # (queue-time seqs sort first in the scalar heap);
-                    # local ties break on push order, the scalar seq
-                    # order for same-tick events.
-                    if zzl is None:
-                        zzl = zz.tolist()
-                    i += 1
-                    if kind0:
-                        d = exp(a0 + b0 * zzl[c])
-                        c += 1
-                    else:
-                        d = a0
-                    mini = [(a_i + rnd(d * TCS / USP), 0, row_i, 0,
-                             aseq_i, a_i)]
-                    order = 1
-                    while mini:
-                        while (i < m
-                               and entries[i][0] <= mini[0][0]):
-                            a_j, sq_j, r_j = entries[i]
-                            i += 1
-                            if kind0:
-                                d = exp(a0 + b0 * zzl[c])
-                                c += 1
-                            else:
-                                d = a0
-                            heappush(mini, (
-                                a_j + rnd(d * TCS / USP), order,
-                                r_j, 0, sq_j, a_j))
-                            order += 1
-                        tau, _o, r_j, k, sq_j, a_j = heappop(mini)
-                        k += 1
-                        if k < 5:
-                            kk, aa, bb = ue_specs[k]
-                            if kk:
-                                d = exp(aa + bb * zzl[c])
-                                c += 1
-                            else:
-                                d = aa
-                            heappush(mini, (
-                                tau + rnd(d * TCS / USP), order,
-                                r_j, k, sq_j, a_j))
-                            order += 1
-                        else:
-                            # MAC exit: PHY-prep draw, plan recorded.
-                            if prep_kind:
-                                prep_us = exp(prep_a
-                                              + prep_b * zzl[c])
-                                c += 1
-                            else:
-                                prep_us = prep_a
-                            plan_list.append((tau, sq_j, r_j, u,
-                                              prep_us))
-                            bp[r_j] += tau - a_j
-                            header[r_j] = _UE_WIRE_HEADER
-                server.commit(peek_n * m)
-            plan_list.sort()
-            n_plans = len(plan_list)
-            ai = n_arr  # arrivals fully consumed by the pre-pass
-
+            plans = self._prepass(arrivals)
+            ai = n_arr
+            next_same: list[int] = []
+        else:
+            plans = []
+            next_same = _next_same_ue(arrivals, self.population.ue)
+            ai = 0
+        n_plans = len(plans)
+        pi = 0
+        heap = self._heap
+        precise = self._precise
+        advance = self.sim.advance_to
+        last_t = self.sim.now
+        plan_cg = self._plan_cg
         while True:
-            # Merge: pre-passed plan vs pending arrival vs heap top,
-            # in (time, seq) order.  At most one of the side streams
-            # is live (fast_plan consumes all arrivals), and their
-            # seqs predate all runtime seqs, so same-tick ties resolve
-            # to the side stream — as in the scalar engine, where
-            # queue-time schedule() calls get the earliest sequence
-            # numbers.
-            if pi < n_plans and (not heap or plan_list[pi] < heap[0]):
-                # Inline CG window scan (the _PLAN handler's body).
-                # fast_plan guarantees imprecise-clock mode, a drawn
-                # prep, and a first transmission.
-                t, _aseq, row, u, prep_us = plan_list[pi]
+            if pi < n_plans and (not heap or plans[pi] < heap[0]):
+                t, _seq, row, u, prep_us = plans[pi]
                 pi += 1
                 last_t = t
-                prep_tc = rnd(prep_us * TCS / USP)
-                ready = t + prep_tc
-                wire = payload[row] + header[row]
-                cyc, rem = divmod(ready, period)
-                base = bisect_right(w_ends, rem)
-                if base == nwin:
-                    cyc += 1
-                    base = 0
-                k = cyc * nwin + base
-                empty = 0
-                while True:
-                    if empty > nwin:
-                        raise LookupError(
-                            "no usable configured-grant window found")
-                    cyc, base = divmod(k, nwin)
-                    off = cyc * period
-                    start = w_starts[base] + off
-                    end = w_ends[base] + off
-                    entry = ready if ready > start else start
-                    if end - entry < min_tx:
-                        empty += 1
-                        k += 1
-                        continue
-                    key = (u, start)
-                    plan = plans.get(key)
-                    capacity = cap_by_base[base]
-                    used = plan[2] if plan is not None else 0
-                    if used + wire > capacity:
-                        if plan is None:
-                            empty += 1
-                        k += 1
-                        continue
-                    if plan is None:
-                        plans[key] = [k, [row], used + wire]
-                        self._seq = seq = self._seq + 1
-                        if fast_tx:
-                            heappush(heap, (end + prop_tc, seq,
-                                            _AIR, u, start))
-                        else:
-                            heappush(heap, (end, seq, _TRANSMIT, u,
-                                            start))
-                            heappush(air_times, end + prop_tc)
-                    else:
-                        plan[1].append(row)
-                        plan[2] += wire
-                    bp[row] += prep_tc
-                    bprot[row] += end - t - prep_tc
-                    break
+                plan_cg(row, u, t, prep_us)
                 continue
             if ai < n_arr and (not heap or arrivals[ai] < heap[0]):
-                t, _aseq, row = arrivals[ai]
-                ai += 1
-                u = ue_col[row]
+                t, _seq, row = arrivals[ai]
                 if precise:
                     advance(t)
                 else:
                     last_t = t
-                if emit is not None:
-                    emit(t, self._categories(u)[0], "send",
-                         packet_id=pid_col[row])
-                if fuse_ue and ue_hot[u] == 0 and chain_draws:
-                    server = servers.get(u)
-                    if server is None:
-                        server = self._ue_server(u)
-                    # Serve the peek straight off the server's block
-                    # buffer when it holds enough normals (the common
-                    # case — blocks are sized to the UE's whole queue);
-                    # peek() itself only runs on refills.  The consume
-                    # below advances _pos exactly as commit() would.
-                    zs = None
-                    buf = server._buf
-                    if buf is not None:
-                        pos = server._pos
-                        if len(buf) - pos >= peek_n:
-                            zs = buf[pos:pos + peek_n].tolist()
-                    if zs is None:
-                        peeked = server.peek(peek_n)
-                        if peeked is not None:
-                            # Python-float math: np.float64 scalar ops
-                            # cost ~4× (same IEEE results either way).
-                            zs = peeked.tolist()
-                    if zs is not None:
-                        total = ue_const_tc
-                        for zi, (a, b) in enumerate(ue_ln):
-                            total += rnd(exp(a + b * zs[zi]) * TCS
-                                         / USP)
-                        end = t + total
-                        # Strictly-later next arrival: every chain draw
-                        # *and* the PHY-prep draw at the chain end
-                        # precede the UE's next stream consumer, so the
-                        # whole span commits as one event.
-                        if next_same[ai - 1] > end:
-                            if prep_kind:
-                                prep_us = exp(prep_a
-                                              + prep_b
-                                              * zs[chain_draws])
-                                server._pos += peek_n
-                            else:
-                                prep_us = prep_a
-                                server._pos += chain_draws
-                            bp[row] += total
-                            pop.header[row] = _UE_WIRE_HEADER
-                            if can_fail:
-                                ue_hot[u] = 1
-                            self._seq = seq = self._seq + 1
-                            heappush(heap, (end, seq, _PLAN, row, u,
-                                            prep_us))
-                            continue
-                # Per-layer event path (tracing, forced-sequential
-                # sampling, or a chain that may interleave).
-                ue_hot[u] += 1
-                self._enter_ue_layer(row, 0, t)
+                self._arrive(row, t, next_same[ai])
+                ai += 1
                 continue
             if not heap:
                 break
@@ -893,351 +631,195 @@ class SlottedUplink:
             else:
                 last_t = t
             code = event[2]
-
             if code == _GNB_LAYER:
-                row = event[3]
-                k = event[4]
-                bp[row] += t - event[6]
-                if emit is not None:
-                    emit(t, _GNB_CATEGORIES[k], "exit",
-                         packet_id=pid_col[row], layer=_GNB_LAYERS[k],
-                         delay_us=event[5])
-                k += 1
-                if k < 5:
-                    kind, a, b = gnb_specs[k]
-                    if kind:
-                        if gi < gn:
-                            delay_us = exp(a + b * gbuf[gi])
-                            gi += 1
-                        else:
-                            delay_us = _gdraw(a, b)
-                    else:
-                        delay_us = a
-                    if dilation is not None:
-                        delay_us = delay_us * dilation(
-                            _GNB_CATEGORIES[k])
-                    if emit is not None:
-                        emit(t, _GNB_CATEGORIES[k], "enter",
-                             packet_id=pid_col[row],
-                             layer=_GNB_LAYERS[k])
-                    self._seq = seq = self._seq + 1
-                    heappush(heap, (
-                        t + rnd(delay_us * TCS / USP),
-                        seq, _GNB_LAYER, row, k, delay_us, t))
-                else:
-                    # SDAP exit: gNB hands the packet to the UPF
-                    # (mirror of Gnb._ul_done + Upf._process).
-                    gnb_busy -= 1
-                    gnb_counters.ul_packets_out += 1
-                    if ui < un:
-                        upf_us = ubuf[ui]
-                        ui += 1
-                    else:
-                        upf_us = _udraw()
-                    delay_tc = rnd(upf_us * TCS / USP)
-                    if upf_outage is not None:
-                        delay_tc += upf_outage()
-                    if emit is not None:
-                        emit(t, "upf", "ul_forward",
-                             packet_id=pid_col[row])
-                    self._seq = seq = self._seq + 1
-                    if defer_done:
-                        done_append((t + delay_tc, seq, row, t))
-                    else:
-                        heappush(heap, (t + delay_tc, seq, _UPF_DONE,
-                                        row, t))
+                self._gnb_layer_done(event, t)
             elif code == _UPF_DONE:
-                row = event[3]
-                proc = bp[row] + (t - event[4])
-                bp[row] = proc
-                delivered_col[row] = t
-                lat_append(t - created[row])
-                tot_proc += proc
-                tot_prot += bprot[row]
-                tot_rad += brad[row]
+                self._record(((t, 0, event[3], event[4]),))
             elif code == _AIR or code == _DELIVER:
-                if code == _AIR:
-                    # Landing of a folded transmission: pop the plan
-                    # and charge the window-end bookkeeping _transmit
-                    # would have done one propagation delay earlier.
-                    # All of it is counter sums, so the shift cannot
-                    # reorder anything observable.
-                    u = event[3]
-                    window_k, rows, used = plans.pop((u, event[4]))
-                    pop_blocks[u] += 1
-                    capacity = cap_by_base[window_k % nwin]
-                    cg_alloc_acc += capacity
-                    cg_used_acc += (used if used <= capacity
-                                    else capacity)
-                    blocks_acc += 1
-                    for row in rows:
-                        brad[row] += prop_tc
-                else:
-                    rows = list(event[3])
-                    # Retire this block's own air-time entry (== t)
-                    # plus any stale entries of failed blocks it has
-                    # passed.  (fast_tx runs keep no air-time heap at
-                    # all: nothing fails, and every landing sits on
-                    # the window-end + propagation grid, so the next
-                    # landing is read off the window index instead.)
-                    while air_times[0] < t:
-                        heappop(air_times)
-                    heappop(air_times)
-                if fuse_gnb and gnb_busy == 0:
-                    # Cohort fusion.  Slot alignment makes blocks land
-                    # in same-tick batches (every UL transmission
-                    # completes at a window end), so sibling deliveries
-                    # are collected and their gNB chains simulated on a
-                    # local heap keyed (time, push order) — the exact
-                    # (time, seq) merge order the scalar engine gives
-                    # those events.  If the whole cohort drains
-                    # strictly before the next landing, its gnb-stream
-                    # draws and UPF forward draws are consumed in
-                    # scalar order and the result commits; otherwise
-                    # everything falls back to the per-layer path.
-                    while (heap and heap[0][0] == t
-                           and heap[0][2] == code):
-                        sib = heappop(heap)
-                        if code == _AIR:
-                            su = sib[3]
-                            window_k, srows, used = plans.pop(
-                                (su, sib[4]))
-                            pop_blocks[su] += 1
-                            capacity = cap_by_base[window_k % nwin]
-                            cg_alloc_acc += capacity
-                            cg_used_acc += (
-                                used if used <= capacity else capacity)
-                            blocks_acc += 1
-                            for row in srows:
-                                brad[row] += prop_tc
-                            rows.extend(srows)
-                        else:
-                            heappop(air_times)
-                            rows.extend(sib[3])
-                    if code == _AIR:
-                        nk = w_first_after(t - prop_tc)
-                        na = ((nk // nwin) * period
-                              + w_ends[nk % nwin] + prop_tc)
-                    else:
-                        na = (air_times[0] if air_times
-                              else _FAR_FUTURE)
-                    need = gnb_draws * len(rows)
-                    while gn - gi < need and _gtopup():
-                        pass
-                    if na > t and gn - gi >= need and len(rows) == 1:
-                        # One-block cohort: the chain is a straight
-                        # line, no merge order to reproduce.
-                        row = rows[0]
-                        tau = t
-                        zi = 0
-                        for kind, a, b in gnb_specs:
-                            if kind:
-                                d = exp(a + b * gbuf[gi + zi])
-                                zi += 1
-                            else:
-                                d = a
-                            tau += rnd(d * TCS / USP)
-                        gi += zi
-                        out_acc += 1
-                        bp[row] += tau - t
-                        if ui < un:
-                            upf_us = ubuf[ui]
-                            ui += 1
-                        else:
-                            upf_us = _udraw()
-                        delay_tc = rnd(upf_us * TCS / USP)
-                        if upf_outage is not None:
-                            delay_tc += upf_outage()
-                        self._seq = seq = self._seq + 1
-                        if defer_done:
-                            done_append((tau + delay_tc, seq, row,
-                                         tau))
-                        else:
-                            heappush(heap, (tau + delay_tc, seq,
-                                            _UPF_DONE, row, tau))
-                        continue
-                    if na > t and gn - gi >= need:
-                        zi = 0
-                        order = 0
-                        mini = []
-                        kind0, a0, b0 = gnb_specs[0]
-                        for row in rows:
-                            if kind0:
-                                d = exp(a0 + b0 * gbuf[gi + zi])
-                                zi += 1
-                            else:
-                                d = a0
-                            mini.append((
-                                t + rnd(d * TCS / USP),
-                                order, row, 0))
-                            order += 1
-                        heapify(mini)
-                        exits = []
-                        max_end = 0
-                        while mini:
-                            tau, _o, row, k = heappop(mini)
-                            k += 1
-                            if k < 5:
-                                kind, a, b = gnb_specs[k]
-                                if kind:
-                                    d = exp(a + b * gbuf[gi + zi])
-                                    zi += 1
-                                else:
-                                    d = a
-                                heappush(mini, (
-                                    tau + rnd(d * TCS / USP),
-                                    order, row, k))
-                                order += 1
-                            else:
-                                exits.append((tau, row))
-                                if tau > max_end:
-                                    max_end = tau
-                        if max_end < na:
-                            gi += zi
-                            out_acc += len(rows)
-                            for tau, row in exits:
-                                bp[row] += tau - t
-                                if ui < un:
-                                    upf_us = ubuf[ui]
-                                    ui += 1
-                                else:
-                                    upf_us = _udraw()
-                                delay_tc = rnd(upf_us * TCS / USP)
-                                if upf_outage is not None:
-                                    delay_tc += upf_outage()
-                                self._seq = seq = self._seq + 1
-                                if defer_done:
-                                    done_append((tau + delay_tc, seq,
-                                                 row, tau))
-                                else:
-                                    heappush(heap, (tau + delay_tc,
-                                                    seq, _UPF_DONE,
-                                                    row, tau))
-                            continue
-                # gnb.receive_ul_block with no radio head charges zero
-                # RADIO and forwards the block to the up-pipeline in
-                # order; the scalar call_in(0, ...) hop preserves the
-                # same relative push order, so entering PHY here is
-                # bit-identical (pinned by the equivalence suite).
-                for row in rows:
-                    gnb_busy += 1
-                    kind, a, b = gnb_specs[0]
-                    if kind:
-                        if gi < gn:
-                            delay_us = exp(a + b * gbuf[gi])
-                            gi += 1
-                        else:
-                            delay_us = _gdraw(a, b)
-                    else:
-                        delay_us = a
-                    if dilation is not None:
-                        delay_us = delay_us * dilation(
-                            _GNB_CATEGORIES[0])
-                    if emit is not None:
-                        emit(t, _GNB_CATEGORIES[0], "enter",
-                             packet_id=pid_col[row],
-                             layer=_GNB_LAYERS[0])
-                    self._seq = seq = self._seq + 1
-                    heappush(heap, (
-                        t + rnd(delay_us * TCS / USP),
-                        seq, _GNB_LAYER, row, 0, delay_us, t))
+                self._land(event, t)
             elif code == _UE_LAYER:
                 self._ue_layer_done(event, t)
             elif code == _PLAN:
-                # Inline of _plan_grant_free for the fused path: _PLAN
-                # events only exist when fusion is on (emit is None),
-                # the prep delay is already drawn, and the packet is a
-                # first transmission.
-                row = event[3]
-                u = event[4]
-                prep_tc = rnd(event[5] * TCS / USP)
-                ready = t + prep_tc
-                wire = payload[row] + header[row]
-                cyc, rem = divmod(ready, period)
-                base = bisect_right(w_ends, rem)
-                if base == nwin:
-                    cyc += 1
-                    base = 0
-                k = cyc * nwin + base
-                empty = 0
-                while True:
-                    if empty > nwin:
-                        raise LookupError(
-                            "no usable configured-grant window found")
-                    cyc, base = divmod(k, nwin)
-                    off = cyc * period
-                    start = w_starts[base] + off
-                    end = w_ends[base] + off
-                    entry = ready if ready > start else start
-                    if end - entry < min_tx:
-                        empty += 1
-                        k += 1
-                        continue
-                    key = (u, start)
-                    plan = plans.get(key)
-                    capacity = cap_by_base[base]
-                    used = plan[2] if plan is not None else 0
-                    if used + wire > capacity:
-                        if plan is None:
-                            empty += 1
-                        k += 1
-                        continue
-                    if plan is None:
-                        plans[key] = [k, [row], used + wire]
-                        self._seq = seq = self._seq + 1
-                        if fast_tx:
-                            # Transmission cannot fail and draws
-                            # nothing, so the window-end hop is folded
-                            # into the landing event; its bookkeeping
-                            # (pure counter sums) moves there too.
-                            heappush(heap, (end + prop_tc, seq, _AIR,
-                                            u, start))
-                        else:
-                            heappush(heap, (end, seq, _TRANSMIT, u,
-                                            start))
-                            heappush(air_times, end + prop_tc)
-                    else:
-                        plan[1].append(row)
-                        plan[2] += wire
-                    bp[row] += prep_tc
-                    bprot[row] += end - t - prep_tc
-                    break
+                plan_cg(event[3], event[4], t, event[5])
             elif code == _TRANSMIT:
                 self._transmit(event[3], event[4], t)
             else:  # _RETRANSMIT
-                ue_id = event[3]
                 for row in event[4]:
-                    self._plan_grant_free(row, ue_id, t, True)
-
-        if done:
-            # Deferred UPF completions, in the (time, seq) order the
-            # heap would have dispatched them — the probe's append
-            # order is part of the bit-identity contract.
-            done.sort()
-            if done[-1][0] > last_t:
-                last_t = done[-1][0]
-            for done_t, _seq, row, tau in done:
-                proc = bp[row] + (done_t - tau)
-                bp[row] = proc
-                delivered_col[row] = done_t
-                lat_append(done_t - created[row])
-                tot_proc += proc
-                tot_prot += bprot[row]
-                tot_rad += brad[row]
-        link_counters.blocks_sent += blocks_acc
-        sched_counters.cg_allocated_bytes += cg_alloc_acc
-        sched_counters.cg_used_bytes += cg_used_acc
-        gnb_counters.ul_packets_out += out_acc
-        totals = probe._budget_totals
-        totals[LatencySource.PROCESSING] += tot_proc
-        totals[LatencySource.RADIO] += tot_rad
-        totals[LatencySource.PROTOCOL] += tot_prot
-        if not precise and last_t > sim.now:
-            advance(last_t)
+                    plan_cg(row, event[3], t, None, True)
+        self._finish(last_t)
 
     # ------------------------------------------------------------------
-    # UE side (per-layer event path)
+    # UE chain (Fig 3 ①-⑤)
     # ------------------------------------------------------------------
+    def _prepass(self, arrivals: list[tuple[int, int, int]]
+                 ) -> list[tuple[int, int, int, int, float]]:
+        """Vectorized UE stage for never-fail untraced runs.
+
+        Every packet is planned exactly once after a fixed draw-count
+        transit, so the chain math runs over all of a UE's arrivals at
+        once (packet ``i`` owns draws ``[i*peek_n, (i+1)*peek_n)`` of
+        its stream), and the rare overlapping chains are replayed draw
+        for draw on a local heap in the scalar engine's ``(time, seq)``
+        order.  Exactly ``peek_n`` draws commit per packet on either
+        branch, so the sequential layout realigns after every cluster
+        and the vectorized values stay valid.  Returns the sorted plan
+        stream ``(chain_end, arrival_seq, row, ue, prep_us)``.
+        """
+        pop = self.population
+        ue_col = pop.ue
+        bp = pop.budget_processing
+        header = pop.header
+        exp = math.exp
+        rnd = round
+        TCS = TC_PER_SECOND
+        USP = _US_PER_SECOND
+        ue_specs = self._ue_specs
+        chain_draws = self._chain_draws
+        peek_n = self._peek_n
+        ue_const_tc = self._ue_const_tc
+        prep_kind, prep_a, prep_b = self._prep_spec
+        plans: list[tuple[int, int, int, int, float]] = []
+        by_ue: dict[int, list[tuple[int, int, int]]] = {}
+        for entry in arrivals:
+            by_ue.setdefault(ue_col[entry[2]], []).append(entry)
+        ln_mu = np.array([a for kind, a, _b in ue_specs if kind]
+                         + ([prep_a] if prep_kind else []))
+        ln_sig = np.array([b for kind, _a, b in ue_specs if kind]
+                          + ([prep_b] if prep_kind else []))
+        kind0, a0, b0 = ue_specs[0]
+        for u, entries in by_ue.items():
+            server = self._ue_server(u)
+            m = len(entries)
+            zz = server.peek(peek_n * m)
+            if zz is None:
+                raise RuntimeError("block drawing disabled mid-run")
+            # The exp stays scalar libm — np.exp differs from math.exp
+            # by 1 ulp on some inputs, and bit-identity tolerates none.
+            # np.rint on these magnitudes is bitwise round().
+            args = np.tile(ln_mu, m) + np.tile(ln_sig, m) * zz
+            vals = list(map(exp, args.tolist()))
+            tcs = np.rint(np.asarray(vals) * TCS / USP)
+            tcs = tcs.astype(np.int64).reshape(m, peek_n)
+            chain = tcs[:, :chain_draws].sum(axis=1) + ue_const_tc
+            ends = (np.fromiter((e[0] for e in entries), np.int64, m)
+                    + chain).tolist()
+            chain_l = chain.tolist()
+            zzl: list[float] | None = None
+            i = 0
+            c = 0
+            while i < m:
+                a_i, aseq_i, row_i = entries[i]
+                nxt = entries[i + 1][0] if i + 1 < m else _FAR_FUTURE
+                end_i = ends[i]
+                if nxt > end_i:
+                    # Strictly-later next arrival: the sequential
+                    # layout is the true draw order and the vectorized
+                    # values stand.
+                    plans.append((end_i, aseq_i, row_i, u,
+                                  vals[c + chain_draws] if prep_kind
+                                  else prep_a))
+                    bp[row_i] += chain_l[i]
+                    header[row_i] = _UE_WIRE_HEADER
+                    i += 1
+                    c += peek_n
+                    continue
+                # Overlap cluster: interleaved replay.  Arrivals admit
+                # before any local event at or after them (queue-time
+                # seqs sort first in the scalar heap); local ties break
+                # on push order, the scalar seq order for same-tick
+                # events.
+                if zzl is None:
+                    zzl = zz.tolist()
+                i += 1
+                if kind0:
+                    d = exp(a0 + b0 * zzl[c])
+                    c += 1
+                else:
+                    d = a0
+                mini = [(a_i + rnd(d * TCS / USP), 0, row_i, 0, aseq_i,
+                         a_i)]
+                order = 1
+                while mini:
+                    while i < m and entries[i][0] <= mini[0][0]:
+                        a_j, sq_j, r_j = entries[i]
+                        i += 1
+                        if kind0:
+                            d = exp(a0 + b0 * zzl[c])
+                            c += 1
+                        else:
+                            d = a0
+                        heappush(mini, (a_j + rnd(d * TCS / USP), order,
+                                        r_j, 0, sq_j, a_j))
+                        order += 1
+                    tau, _o, r_j, k, sq_j, a_j = heappop(mini)
+                    k += 1
+                    if k < 5:
+                        kk, aa, bb = ue_specs[k]
+                        if kk:
+                            d = exp(aa + bb * zzl[c])
+                            c += 1
+                        else:
+                            d = aa
+                        heappush(mini, (tau + rnd(d * TCS / USP), order,
+                                        r_j, k, sq_j, a_j))
+                        order += 1
+                    else:
+                        # MAC exit: PHY-prep draw, plan recorded.
+                        if prep_kind:
+                            prep_us = exp(prep_a + prep_b * zzl[c])
+                            c += 1
+                        else:
+                            prep_us = prep_a
+                        plans.append((tau, sq_j, r_j, u, prep_us))
+                        bp[r_j] += tau - a_j
+                        header[r_j] = _UE_WIRE_HEADER
+            server.commit(peek_n * m)
+        plans.sort()
+        return plans
+
+    def _arrive(self, row: int, now: int, next_same: int) -> None:
+        """APP hands a packet to the UE stack (Fig 3 ①).
+
+        Commits the whole transit chain plus the PHY-prep draw as one
+        ``_PLAN`` event when the UE-side guard holds — nothing of the UE
+        in flight and its next arrival (``next_same``) strictly after
+        the chain end — else enters the per-layer path.
+        """
+        pop = self.population
+        u = pop.ue[row]
+        if self._emit is not None:
+            self._emit(now, self._categories(u)[0], "send",
+                       packet_id=pop.packet_id[row])
+        chain_draws = self._chain_draws
+        if self._fuse_ue and self._ue_hot[u] == 0 and chain_draws:
+            server = self._ue_server(u)
+            peeked = server.peek(self._peek_n)
+            if peeked is not None:
+                # Python-float math: np.float64 scalar ops cost ~4×
+                # (same IEEE results either way).
+                zs = peeked.tolist()
+                exp = math.exp
+                total = self._ue_const_tc
+                for z, (a, b) in zip(zs, self._ue_ln):
+                    total += round(exp(a + b * z) * TC_PER_SECOND
+                                   / _US_PER_SECOND)
+                end = now + total
+                if next_same > end:
+                    prep_kind, prep_a, prep_b = self._prep_spec
+                    if prep_kind:
+                        prep_us = exp(prep_a + prep_b * zs[chain_draws])
+                    else:
+                        prep_us = prep_a
+                    server.commit(self._peek_n)
+                    pop.budget_processing[row] += total
+                    pop.header[row] = _UE_WIRE_HEADER
+                    if self._can_fail:
+                        self._ue_hot[u] = 1
+                    self._push(end, _PLAN, row, u, prep_us)
+                    return
+        self._ue_hot[u] += 1
+        self._enter_ue_layer(row, 0, now)
+
     def _enter_ue_layer(self, row: int, layer_k: int, now: int) -> None:
         kind, a, b = self._ue_specs[layer_k]
         ue_id = self.population.ue[row]
@@ -1245,48 +827,39 @@ class SlottedUplink:
             delay_us = self._ue_server(ue_id).sample(a, b)
         else:
             delay_us = a
-        if self.tracer.enabled:
-            self.tracer.emit(now, self._categories(ue_id)[layer_k],
-                             "enter",
-                             packet_id=self.population.packet_id[row],
-                             layer=_UE_LAYERS[layer_k])
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (now + tc_from_us(delay_us), seq,
-                              _UE_LAYER, row, layer_k, delay_us, now))
+        if self._emit is not None:
+            self._emit(now, self._categories(ue_id)[layer_k], "enter",
+                       packet_id=self.population.packet_id[row],
+                       layer=_UE_LAYERS[layer_k])
+        self._push(now + tc_from_us(delay_us), _UE_LAYER, row, layer_k,
+                   delay_us, now)
 
     def _ue_layer_done(self, event: tuple, now: int) -> None:
-        row, layer_k, delay_us, submitted = (event[3], event[4],
-                                             event[5], event[6])
+        row, layer_k, delay_us, submitted = event[3:7]
         pop = self.population
         pop.budget_processing[row] += now - submitted
         pop.header[row] += _UE_HEADER_DELTAS[layer_k]
         ue_id = pop.ue[row]
-        if self.tracer.enabled:
-            self.tracer.emit(now, self._categories(ue_id)[layer_k],
-                             "exit", packet_id=pop.packet_id[row],
-                             layer=_UE_LAYERS[layer_k],
-                             delay_us=delay_us)
+        if self._emit is not None:
+            self._emit(now, self._categories(ue_id)[layer_k], "exit",
+                       packet_id=pop.packet_id[row],
+                       layer=_UE_LAYERS[layer_k], delay_us=delay_us)
         if layer_k < 4:
             self._enter_ue_layer(row, layer_k + 1, now)
         else:
-            self._plan_grant_free(row, ue_id, now, False)
+            self._plan_cg(row, ue_id, now)
 
-    def _cg_capacity(self, duration_tc: int) -> int:
-        capacity = self._cap_cache.get(duration_tc)
-        if capacity is None:
-            capacity = self.scheduler.cg_capacity_for(duration_tc,
-                                                      self.cg_share)
-            self._cap_cache[duration_tc] = capacity
-        return capacity
-
-    def _plan_grant_free(self, row: int, ue_id: int, now: int,
-                         is_retransmission: bool,
-                         prep_us: float | None = None) -> None:
+    # ------------------------------------------------------------------
+    # CG planning
+    # ------------------------------------------------------------------
+    def _plan_cg(self, row: int, ue_id: int, now: int,
+                 prep_us: float | None = None,
+                 is_retransmission: bool = False) -> None:
         """Mirror of ``Ue._plan_grant_free`` on columnar state.
 
-        ``prep_us`` carries a PHY-prep delay the fused arrival path
-        already drew (and committed) for this packet; None means draw
-        it here, as the scalar planner does.
+        ``prep_us`` carries a PHY-prep delay the UE stage already drew
+        (and committed) for this packet; None means draw it here, as
+        the scalar planner does.
         """
         if prep_us is None:
             kind, a, b = self._prep_spec
@@ -1299,77 +872,83 @@ class SlottedUplink:
                 # (the link never fails, so no retransmission preps
                 # follow): the packet stops blocking chain fusion.
                 self._ue_hot[ue_id] -= 1
-        prep_tc = tc_from_us(prep_us)
-        ready = now + prep_tc
+        prep_tc = round(prep_us * TC_PER_SECOND / _US_PER_SECOND)
         pop = self.population
         wire = pop.payload[row] + pop.header[row]
-        windex = self._windex
         plans = self._plans
-        min_tx_tc = self.min_tx_tc
-        k = windex.first_ending_after(ready)
-        # The scalar planner scans the (infinite) window generator; an
-        # un-plannable packet — wire size above even an empty window's
-        # capacity — would loop forever there.  The mirror bounds the
-        # scan: once a full period of *empty* windows has been
-        # rejected, later cycles repeat the same rejection.
-        empty_rejections = 0
-        while empty_rejections <= windex.n_windows:
-            start, end = windex.bounds(k)
-            entry = ready if ready > start else start
-            if end - entry < min_tx_tc:
-                empty_rejections += 1
-                k += 1
-                continue
+
+        def used(start: int) -> int:
             plan = plans.get((ue_id, start))
-            capacity = self._cg_capacity(windex.duration(k))
-            used = plan[2] if plan is not None else 0
-            if used + wire > capacity:
-                if plan is None:
-                    empty_rejections += 1
-                k += 1
-                continue
-            if plan is None:
-                plan = [k, [row], used + wire]
-                plans[(ue_id, start)] = plan
-                self._seq = seq = self._seq + 1
-                if self._fast_tx:
-                    heappush(self._heap, (end + self._prop_tc, seq,
-                                          _AIR, ue_id, start))
-                else:
-                    heappush(self._heap, (end, seq, _TRANSMIT, ue_id,
-                                          start))
-                    heappush(self._air_times, end + self._prop_tc)
+            return plan[2] if plan is not None else 0
+
+        k, start, end = first_joining_window(
+            self._windex, now + prep_tc, self.min_tx_tc, wire,
+            self._cap_by_base, used)
+        plan = plans.get((ue_id, start))
+        if plan is None:
+            plans[(ue_id, start)] = [k, [row], wire]
+            self._seq = seq = self._seq + 1
+            if self._fast_tx:
+                heappush(self._heap, (end + self._prop_tc, seq, _AIR,
+                                      ue_id, start))
             else:
-                plan[1].append(row)
-                plan[2] += wire
-            pop.budget_processing[row] += prep_tc
-            pop.budget_protocol[row] += end - now - prep_tc
-            if self.tracer.enabled:
-                self.tracer.emit(now, self._categories(ue_id)[4],
-                                 "cg_planned",
-                                 packet_id=pop.packet_id[row],
-                                 window_start=start,
-                                 retransmission=is_retransmission)
-            return
-        raise LookupError("no usable configured-grant window found")
+                heappush(self._heap, (end, seq, _TRANSMIT, ue_id, start))
+                heappush(self._air_times, end + self._prop_tc)
+        else:
+            plan[1].append(row)
+            plan[2] += wire
+        pop.budget_processing[row] += prep_tc
+        pop.budget_protocol[row] += end - now - prep_tc
+        if self._emit is not None:
+            self._emit(now, self._categories(ue_id)[4], "cg_planned",
+                       packet_id=pop.packet_id[row], window_start=start,
+                       retransmission=is_retransmission)
 
     # ------------------------------------------------------------------
-    # air crossing
+    # air (Fig 3 ⑦-⑧)
     # ------------------------------------------------------------------
+    def _fly(self, landings: list[tuple]) -> list[int]:
+        """Window end plus propagation of ``_AIR`` blocks, on a link
+        that can neither fail nor draw; returns the landed rows.
+
+        The window-end bookkeeping ``_transmit`` would do one
+        propagation delay earlier is all counter sums, so charging it
+        at the landing cannot reorder anything observable.
+        """
+        plans = self._plans
+        blocks_sent = self.population.blocks_sent
+        radio = self.population.budget_radio
+        prop_tc = self._prop_tc
+        caps = self._cap_by_base
+        n = self._windex.n_windows
+        allocated = used_total = 0
+        rows: list[int] = []
+        for event in landings:
+            ue_id = event[3]
+            window_k, block, used = plans.pop((ue_id, event[4]))
+            blocks_sent[ue_id] += 1
+            capacity = caps[window_k % n]
+            allocated += capacity
+            used_total += used if used <= capacity else capacity
+            for row in block:
+                radio[row] += prop_tc
+            rows += block
+        self.scheduler.account_cg_usage(allocated, used_total)
+        self.link.counters.blocks_sent += len(landings)
+        return rows
+
     def _transmit(self, ue_id: int, window_start: int,
                   now: int) -> None:
         """Mirror of ``Ue._transmit_planned`` + ``RanSystem._ul_over_air``
         + the failure half of ``AirLink.transmit``."""
-        plan = self._plans.pop((ue_id, window_start))
-        window_k, rows, used = plan
+        window_k, rows, used = self._plans.pop((ue_id, window_start))
         pop = self.population
         pop.blocks_sent[ue_id] += 1
-        if self.tracer.enabled:
-            self.tracer.emit(now, self._categories(ue_id)[4], "cg_tx",
-                             window_start=window_start,
-                             packets=len(rows))
+        if self._emit is not None:
+            self._emit(now, self._categories(ue_id)[4], "cg_tx",
+                       window_start=window_start, packets=len(rows))
         self.scheduler.account_cg_usage(
-            self._cg_capacity(self._windex.duration(window_k)), used)
+            self._cap_by_base[window_k % self._windex.n_windows], used)
         link = self.link
         if link.decide_fate(now):
             if self._can_fail:
@@ -1379,18 +958,15 @@ class SlottedUplink:
             propagation_tc = link.propagation_tc
             for row in rows:
                 pop.budget_radio[row] += propagation_tc
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (now + propagation_tc, seq, _DELIVER,
-                                  rows))
+            self._push(now + propagation_tc, _DELIVER, rows)
             return
         # The block never lands; its air-time entry stays behind as a
         # stale lower bound (only ever conservative — it can suppress
         # a fusion, never permit a wrong one) and is swept by the next
         # delivery that passes it.
         link.counters.blocks_failed += 1
-        if self.tracer.enabled:
-            self.tracer.emit(now, "link", "block_failed",
-                             packets=len(rows))
+        if self._emit is not None:
+            self._emit(now, "link", "block_failed", packets=len(rows))
         max_harq = link.max_harq
         survivors: list[int] = []
         for row in rows:
@@ -1406,7 +982,7 @@ class SlottedUplink:
         feedback = self._system._ul_feedback
         if feedback is None:
             for row in survivors:
-                self._plan_grant_free(row, ue_id, now, True)
+                self._plan_cg(row, ue_id, now, None, True)
             return
         if link.last_fault_fate == "dtx":
             feedback_at = feedback.dtx_detection_time(now)
@@ -1415,6 +991,218 @@ class SlottedUplink:
         wait = feedback_at - now
         for row in survivors:
             pop.budget_protocol[row] += wait
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (feedback_at, seq, _RETRANSMIT, ue_id,
-                              survivors))
+        self._push(feedback_at, _RETRANSMIT, ue_id, survivors)
+
+    def _land(self, event: tuple, now: int) -> None:
+        """A block reaches the gNB (``_AIR`` or ``_DELIVER``).
+
+        gnb.receive_ul_block with no radio head charges zero RADIO and
+        forwards the block to the up-pipeline in order; the scalar
+        call_in(0, ...) hop preserves the same relative push order, so
+        entering PHY here is bit-identical.  With cohort fusion on, the
+        same-tick sibling landings join the block.
+        """
+        code = event[2]
+        landings = [event]
+        fuse = self._fuse_gnb and self._gnb_busy == 0
+        if fuse:
+            heap = self._heap
+            while heap and heap[0][0] == now and heap[0][2] == code:
+                landings.append(heappop(heap))
+        air_times = self._air_times
+        if code == _AIR:
+            rows = self._fly(landings)
+        else:
+            rows = [row for landing in landings for row in landing[3]]
+            # Retire the blocks' own air-time entries (== now) plus any
+            # stale entries of failed blocks they have passed.
+            while air_times[0] < now:
+                heappop(air_times)
+            for _landing in landings:
+                heappop(air_times)
+        if fuse:
+            if code == _AIR:
+                # fast_tx keeps no air-time heap: nothing fails, and
+                # every landing sits on the window-end + propagation
+                # grid, so the next one is read off the window index.
+                windex = self._windex
+                k = windex.first_ending_after(now - self._prop_tc)
+                next_landing = windex.bounds(k)[1] + self._prop_tc
+            else:
+                next_landing = air_times[0] if air_times else _FAR_FUTURE
+            if self._gnb_cohort(rows, now, next_landing):
+                return
+        for row in rows:
+            self._gnb_busy += 1
+            self._gnb_enter(row, 0, now)
+
+    # ------------------------------------------------------------------
+    # gNB (Fig 3 ⑨)
+    # ------------------------------------------------------------------
+    def _gnb_cohort(self, rows: list[int], now: int,
+                    next_landing: int) -> bool:
+        """Fused gNB stage for a same-tick cohort; True if committed.
+
+        The cohort's five-layer chains run on a local heap keyed
+        ``(time, push order)`` — the ``(time, seq)`` merge order the
+        scalar engine gives those events.  The result commits only if
+        the cohort's last exit is before ``next_landing``: then no other
+        event can consume the ``gnb`` stream inside the cohort's span,
+        and its draws and UPF forwards happen in scalar order.
+        Otherwise nothing is consumed and the caller takes the
+        per-layer path.
+        """
+        reader = self._gnb_reader
+        enough = reader.ensure(self._gnb_draws * len(rows))
+        if next_landing <= now or not enough:
+            return False
+        exp = math.exp
+        rnd = round
+        TCS = TC_PER_SECOND
+        USP = _US_PER_SECOND
+        buf = reader.buf
+        zi = reader.pos
+        specs = self._gnb_specs
+        kind0, a0, b0 = specs[0]
+        mini = []
+        for order, row in enumerate(rows):
+            if kind0:
+                d = exp(a0 + b0 * buf[zi])
+                zi += 1
+            else:
+                d = a0
+            mini.append((now + rnd(d * TCS / USP), order, row, 0))
+        heapify(mini)
+        order = len(rows)
+        exits = []
+        while mini:
+            tau, _o, row, k = heappop(mini)
+            k += 1
+            if k < 5:
+                kind, a, b = specs[k]
+                if kind:
+                    d = exp(a + b * buf[zi])
+                    zi += 1
+                else:
+                    d = a
+                heappush(mini, (tau + rnd(d * TCS / USP), order, row, k))
+                order += 1
+            else:
+                exits.append((tau, row))
+        if exits[-1][0] >= next_landing:
+            return False
+        reader.pos = zi
+        self._system.gnb.counters.ul_packets_out += len(rows)
+        bp = self.population.budget_processing
+        for tau, row in exits:
+            bp[row] += tau - now
+        self._upf_forward(exits)
+        return True
+
+    def _gnb_enter(self, row: int, layer_k: int, now: int) -> None:
+        """Submit a packet to gNB layer ``layer_k`` (per-layer path)."""
+        kind, a, b = self._gnb_specs[layer_k]
+        if kind:
+            z = self._gnb_reader.take()
+            delay_us = (math.exp(a + b * z) if z is not None
+                        else self._gnb_server.sample(a, b))
+        else:
+            delay_us = a
+        category = _GNB_CATEGORIES[layer_k]
+        if self._dilation is not None:
+            delay_us = delay_us * self._dilation(category)
+        if self._emit is not None:
+            self._emit(now, category, "enter",
+                       packet_id=self.population.packet_id[row],
+                       layer=_GNB_LAYERS[layer_k])
+        self._push(now + tc_from_us(delay_us), _GNB_LAYER, row, layer_k,
+                   delay_us, now)
+
+    def _gnb_layer_done(self, event: tuple, now: int) -> None:
+        row, layer_k, delay_us, submitted = event[3:7]
+        self.population.budget_processing[row] += now - submitted
+        if self._emit is not None:
+            self._emit(now, _GNB_CATEGORIES[layer_k], "exit",
+                       packet_id=self.population.packet_id[row],
+                       layer=_GNB_LAYERS[layer_k], delay_us=delay_us)
+        if layer_k < 4:
+            self._gnb_enter(row, layer_k + 1, now)
+            return
+        # SDAP exit (mirror of Gnb._ul_done).
+        self._gnb_busy -= 1
+        self._system.gnb.counters.ul_packets_out += 1
+        self._upf_forward(((now, row),))
+
+    # ------------------------------------------------------------------
+    # core (Fig 3 ⑩)
+    # ------------------------------------------------------------------
+    def _upf_forward(self, exits: Sequence[tuple[int, int]]) -> None:
+        """The gNB hands packets to the UPF, in ``(time, row)`` order
+        (mirror of ``Upf._process``): one delay draw plus any outage
+        each."""
+        upf = self.upf
+        reader = self._upf_reader
+        buffered = reader.ensure(len(exits))
+        values = reader.buf
+        i = reader.pos
+        outage = upf.outage
+        emit = self._emit
+        done = self._done
+        for now, row in exits:
+            if buffered:
+                upf_us = values[i]
+                i += 1
+            else:
+                upf_us = upf.delay.sample(upf.rng)
+            delay_tc = round(upf_us * TC_PER_SECOND / _US_PER_SECOND)
+            if outage is not None:
+                delay_tc += outage()
+            if emit is not None:
+                emit(now, "upf", "ul_forward",
+                     packet_id=self.population.packet_id[row])
+            if done is None:
+                self._push(now + delay_tc, _UPF_DONE, row, now)
+            else:
+                self._seq = seq = self._seq + 1
+                done.append((now + delay_tc, seq, row, now))
+        reader.pos = i
+
+    def _record(self, exits: Iterable[tuple[int, int, int, int]]) -> None:
+        """UPF exits ``(time, seq, row, submitted)``, in dispatch
+        order: the packets are delivered."""
+        pop = self.population
+        bp = pop.budget_processing
+        bprot = pop.budget_protocol
+        brad = pop.budget_radio
+        created = pop.created
+        delivered = pop.delivered_tc
+        latencies = self.probe._latencies_tc
+        tot_proc = tot_prot = tot_rad = 0
+        for now, _seq, row, submitted in exits:
+            proc = bp[row] + (now - submitted)
+            bp[row] = proc
+            delivered[row] = now
+            latencies.append(now - created[row])
+            tot_proc += proc
+            tot_prot += bprot[row]
+            tot_rad += brad[row]
+        totals = self.probe._budget_totals
+        totals[LatencySource.PROCESSING] += tot_proc
+        totals[LatencySource.PROTOCOL] += tot_prot
+        totals[LatencySource.RADIO] += tot_rad
+
+    def _finish(self, last_t: int) -> None:
+        """Drain deferred UPF completions and settle the clock.
+
+        The deferred completions run in the ``(time, seq)`` order the
+        heap would have dispatched them — the probe's append order is
+        part of the bit-identity contract.
+        """
+        done = self._done
+        if done:
+            done.sort()
+            self._record(done)
+            last_t = max(last_t, done[-1][0])
+            done.clear()
+        if not self._precise and last_t > self.sim.now:
+            self.sim.advance_to(last_t)

@@ -25,7 +25,7 @@ from repro.devtools.analyze.loader import (
     unit_of_name,
 )
 from repro.devtools.analyze.units import resolve_units
-from repro.devtools.lintkit import registered_rules
+from repro.devtools.lintkit import Violation, registered_rules
 
 CROSSMOD = Path(__file__).parent / "fixtures_analyze" / "crossmod"
 
@@ -351,6 +351,18 @@ def test_baseline_round_trip_suppresses_known_findings(tmp_path):
                            use_cache=False)
     assert second.exit_code == 0
     assert second.baselined == 1
+
+
+def test_write_baseline_counts_entries_not_findings(tmp_path):
+    # One finding reported at two lines: a single fingerprint, so the
+    # file holds one entry and the returned count says so.
+    twins = [Violation("pkg/mod.py", line, 4, "no-wall-clock", "error",
+                       "wall-clock call time.perf_counter()")
+             for line in (3, 9)]
+    baseline_file = tmp_path / "baseline.json"
+    assert write_baseline(baseline_file, twins) == 1
+    payload = json.loads(baseline_file.read_text(encoding="utf-8"))
+    assert len(payload["findings"]) == 1
 
 
 def test_baseline_survives_line_shifts(tmp_path):

@@ -99,6 +99,25 @@ def test_analyze_write_then_use_baseline(tmp_path, capsys):
     assert "baselined" in out
 
 
+def test_analyze_write_baseline_reports_the_entries_written(tmp_path,
+                                                           capsys):
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "clock.py").write_text(
+        'import time\n\n__all__ = ["f"]\n\n\n'
+        "def f():\n    return time.perf_counter() - time.perf_counter()\n",
+        encoding="utf-8")
+    argv = ["analyze", str(source), "--no-config", "--no-cache"]
+    assert main(argv + ["--format", "json"]) == 1
+    document = json.loads(capsys.readouterr().out)
+    baseline = tmp_path / "baseline.json"
+    assert main(argv + ["--write-baseline", str(baseline)]) == 0
+    entries = json.loads(baseline.read_text(encoding="utf-8"))["findings"]
+    # The two wall-clock reads share one fingerprint.
+    assert len(entries) < len(document["violations"])
+    assert f"wrote {len(entries)} finding(s)" in capsys.readouterr().out
+
+
 def test_analyze_missing_path_is_an_error(capsys):
     code = main(["analyze", "no/such/dir"])
     assert code == 2

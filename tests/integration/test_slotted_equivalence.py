@@ -15,17 +15,23 @@ regime the engine distinguishes internally:
   pre-pass vs interleaved cluster replay);
 - block-buffered and forced-sequential sampling;
 - the runtime determinism sanitizer, which must see the population
-  streams resolve to exclusive owners with unchanged results.
+  streams resolve to exclusive owners with unchanged results;
+- the paper's duplexing grids: the testbed's DDDU pattern, §5's
+  minimal mini-slot candidate and FDD; on the denser grids a gNB
+  cohort can outlive the next landing.
 """
+
+import signal
 
 import pytest
 
 from repro.faults import FaultPlan
-from repro.mac.catalog import testbed_dddu
+from repro.mac.catalog import fdd, minimal_mini_slot, testbed_dddu
 from repro.mac.types import AccessMode
 from repro.net.session import RanConfig, RanSystem
 from repro.phy.channel import GilbertElliottChannel, IidErasureChannel
 from repro.phy.timebase import TC_PER_MS
+from repro.sim.engine import SimulationError
 from repro.sim.rng import RngRegistry
 from repro.sim.sampling import force_sequential
 from repro.sim.sanitize import sanitizer_session
@@ -47,13 +53,20 @@ def _make_channel(kind):
     return None
 
 
+SCHEMES = {
+    "dddu": testbed_dddu,
+    "mini-slot": minimal_mini_slot,
+    "fdd": lambda: fdd(2),
+}
+
+
 def _run(engine, channel_kind="perfect", intensity=0.0, trace=False,
-         n_ues=4, packets_per_ue=5, horizon_ms=40):
+         n_ues=4, packets_per_ue=5, horizon_ms=40, scheme="dddu"):
     plan = None
     if intensity:
         plan = FaultPlan.resolve("standard").scaled(intensity)
     system = RanSystem(
-        testbed_dddu(),
+        SCHEMES[scheme](),
         RanConfig(access=AccessMode.GRANT_FREE, n_ues=n_ues, seed=7,
                   channel=_make_channel(channel_kind), fault_plan=plan,
                   trace=trace, engine=engine))
@@ -83,25 +96,44 @@ def _run(engine, channel_kind="perfect", intensity=0.0, trace=False,
     return out
 
 
-@pytest.mark.parametrize("trace", [False, True])
-@pytest.mark.parametrize("intensity", [0.0, 0.5])
-@pytest.mark.parametrize("channel_kind",
-                         ["perfect", "iid", "iid-zero", "ge"])
-def test_slotted_matches_scalar_bitwise(channel_kind, intensity, trace):
-    scalar = _run("scalar", channel_kind, intensity, trace)
-    slotted = _run("slotted", channel_kind, intensity, trace)
+def _matrix():
+    """Channel × fault intensity × trace, on every grid.  The testbed
+    grid keeps the bare ``channel-intensity-trace`` ids."""
+    for scheme in SCHEMES:
+        for channel_kind in ["ge", "iid", "iid-zero", "perfect"]:
+            for intensity in [0.0, 0.5]:
+                for trace in [False, True]:
+                    case_id = f"{channel_kind}-{intensity}-{trace}"
+                    if scheme != "dddu":
+                        case_id += f"-{scheme}"
+                    yield pytest.param(channel_kind, intensity, trace,
+                                       scheme, id=case_id)
+
+
+@pytest.mark.parametrize("channel_kind,intensity,trace,scheme",
+                         list(_matrix()))
+def test_slotted_matches_scalar_bitwise(channel_kind, intensity, trace,
+                                        scheme):
+    scalar = _run("scalar", channel_kind, intensity, trace,
+                  scheme=scheme)
+    slotted = _run("slotted", channel_kind, intensity, trace,
+                   scheme=scheme)
     assert scalar.pop("engine") == "scalar"
     assert slotted.pop("engine") == "slotted"
     assert scalar == slotted
 
 
-def test_slotted_matches_scalar_with_overlapping_chains():
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_slotted_matches_scalar_with_overlapping_chains(scheme):
     """Dense arrivals: most transit chains overlap the UE's next
     arrival, forcing the interleaved-replay path of the plan
-    pre-pass (and, under faults, the per-layer event path)."""
-    scalar = _run("scalar", n_ues=3, packets_per_ue=40, horizon_ms=25)
+    pre-pass (and, under faults, the per-layer event path).  On the
+    mini-slot grid a one-block gNB cohort often outlives the next
+    landing, which the cohort guard must catch."""
+    scalar = _run("scalar", n_ues=3, packets_per_ue=40, horizon_ms=25,
+                  scheme=scheme)
     slotted = _run("slotted", n_ues=3, packets_per_ue=40,
-                   horizon_ms=25)
+                   horizon_ms=25, scheme=scheme)
     assert scalar.pop("engine") == "scalar"
     assert slotted.pop("engine") == "slotted"
     assert scalar == slotted
@@ -133,3 +165,33 @@ def test_slotted_under_sanitizer_resolves_streams_and_matches():
 
 def test_slotted_runs_are_reproducible():
     assert _run("slotted") == _run("slotted")
+
+
+@pytest.mark.parametrize("engine", ["scalar", "slotted"])
+def test_packet_that_fits_no_cg_window_raises_on_both_engines(engine):
+    """A payload above every window's CG capacity has no window to
+    join; both engines must say so instead of scanning forever."""
+    system = RanSystem(
+        testbed_dddu(),
+        RanConfig(access=AccessMode.GRANT_FREE, n_ues=1,
+                  payload_bytes=10_000_000, engine=engine))
+    system.queue_uplink([0])
+
+    def _hung(signum, frame):
+        raise TimeoutError("grant-free planning did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises((LookupError, SimulationError)) as info:
+            system.run()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    error = info.value
+    if engine == "scalar":
+        # The scalar engine wraps callback failures with sim context.
+        assert isinstance(error, SimulationError)
+        error = error.__cause__
+    assert isinstance(error, LookupError)
+    assert "no usable configured-grant window" in str(error)

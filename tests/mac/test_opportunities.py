@@ -11,6 +11,7 @@ from repro.mac.opportunities import (
     PeriodicInstants,
     Window,
     WindowIndex,
+    first_joining_window,
 )
 
 
@@ -288,3 +289,34 @@ def test_index_entries_joining_unsatisfiable_raises():
 def test_index_rejects_empty_timeline():
     with pytest.raises(ValueError):
         WindowIndex(OpportunityTimeline(100, []))
+
+
+# ---------------------------------------------------------------------------
+# first_joining_window — the grant-free planner both engines call
+# ---------------------------------------------------------------------------
+def _mixed_grid():
+    """Period 100: a long window [0,40) and a 2-tick one [50,52)."""
+    return OpportunityTimeline(100, [Window(0, 40), Window(50, 52)])
+
+
+def test_joining_window_skips_full_and_short_windows():
+    index = _mixed_grid().index()
+    used = {0: 100, 100: 100, 200: 100}  # three full long windows
+    # From t=45 the short windows never fit 5 ticks and the long ones
+    # are full until [300, 340): more than a period of empty
+    # rejections, yet a window lies ahead and must be found.
+    assert first_joining_window(index, 45, 5, 100, (100, 100),
+                                lambda s: used.get(s, 0)) == (6, 300, 340)
+    # Partial fill joins; mid-window entry needs min_tx ticks left.
+    assert first_joining_window(index, 10, 5, 40, (100, 100),
+                                lambda s: {0: 60}.get(s, 0)) == (0, 0, 40)
+    assert first_joining_window(index, 36, 5, 10, (100, 100),
+                                lambda s: 0) == (2, 100, 140)
+
+
+def test_joining_window_raises_when_nothing_can_fit():
+    index = _mixed_grid().index()
+    with pytest.raises(LookupError, match="configured-grant window"):
+        first_joining_window(index, 0, 5, 101, (100, 100), lambda s: 0)
+    with pytest.raises(LookupError):
+        first_joining_window(index, 0, 41, 1, (100, 100), lambda s: 0)

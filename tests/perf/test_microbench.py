@@ -11,6 +11,7 @@ computing the right thing is worse than a slow one.
 
 import numpy as np
 
+from repro.phy.timebase import TC_PER_MS
 from repro.sim.distributions import LogNormal
 from repro.sim.engine import Simulator
 from repro.sim.sampling import BufferedSampler
@@ -98,30 +99,81 @@ def test_tracer_emit_disabled(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# slotted-engine slot-batch kernels (repro.sim.slotted)
+# slotted-engine stages (repro.sim.slotted) and their kernels
 # ---------------------------------------------------------------------------
-def test_population_state_update(benchmark):
-    from repro.sim.slotted import UePopulation
+N_COHORT = 64
+#: "No later landing" for the cohort guard.
+NO_LANDING = 1 << 62
 
-    n_ues = 500
 
-    def fill_and_account():
-        population = UePopulation(n_ues)
-        add = population.add_packet
-        for i in range(N_EVENTS):
-            add(1 + i % n_ues, i, 32, i * 100)
-        # the engine's post-transit accounting pattern: in-place list
-        # element updates, one per delivered packet
-        bp = population.budget_processing
-        delivered = population.delivered_tc
-        for row in range(N_EVENTS):
-            bp[row] += 1_000
-            delivered[row] = row * 100 + 5_000
-        return population
+def _slotted_engine(n_ues=N_COHORT):
+    """A slotted engine with one 32-byte packet per UE, run started."""
+    from repro.mac.catalog import testbed_dddu
+    from repro.mac.types import AccessMode
+    from repro.net.session import RanConfig, RanSystem
 
-    population = benchmark(fill_and_account)
-    assert len(population) == N_EVENTS
-    assert sum(population.queued) == N_EVENTS
+    system = RanSystem(testbed_dddu(), RanConfig(
+        access=AccessMode.GRANT_FREE, n_ues=n_ues, seed=3,
+        engine="slotted"))
+    engine = system.slotted
+    rows = [engine.population.add_packet(ue, ue, 32, 0)
+            for ue in range(1, n_ues + 1)]
+    engine._start()
+    return engine, rows
+
+
+def test_cg_planner_joining_rule(benchmark):
+    from repro.mac.catalog import minimal_mini_slot
+    from repro.mac.opportunities import first_joining_window
+
+    scheme = minimal_mini_slot()
+    timeline = scheme.ul_timeline()
+    index = timeline.index()
+    min_tx = 2 * (scheme.numerology.slot_duration_tc // 14)
+    wire = 100
+    capacities = (3 * wire,) * index.n_windows  # three packets a window
+    readies = [(i * 7_919_993) % (40 * TC_PER_MS)
+               for i in range(N_EVENTS)]
+    ues = [i % N_COHORT for i in range(N_EVENTS)]
+
+    def plan_population():
+        open_bytes = [{} for _ in range(N_COHORT)]
+        ends = []
+        for ready, ue in zip(readies, ues):
+            used = open_bytes[ue]
+            _k, start, end = first_joining_window(
+                index, ready, min_tx, wire, capacities,
+                lambda s: used.get(s, 0))
+            used[start] = used.get(start, 0) + wire
+            ends.append(end)
+        return ends, open_bytes
+
+    ends, open_bytes = benchmark(plan_population)
+    assert all(b <= 3 * wire for used in open_bytes for b in used.values())
+    # Each UE's first packet meets empty windows: the plain joining rule.
+    for i in range(N_COHORT):
+        assert ends[i] == timeline.completion_joining(readies[i], min_tx)
+
+
+def test_gnb_cohort_stage(benchmark):
+    from heapq import heappop
+
+    engine, rows = _slotted_engine()
+    assert benchmark(lambda: engine._gnb_cohort(rows, 0, NO_LANDING))
+    # The fused cohort equals the per-layer gNB path, draw for draw.
+    fused, rows = _slotted_engine()
+    assert fused._gnb_cohort(rows, 0, NO_LANDING)
+    layered, _ = _slotted_engine()
+    for row in rows:
+        layered._gnb_busy += 1
+        layered._gnb_enter(row, 0, 0)
+    while layered._heap:
+        event = heappop(layered._heap)
+        layered._gnb_layer_done(event, event[0])
+    assert ([(t, row, at) for t, _seq, row, at in fused._done]
+            == [(t, row, at) for t, _seq, row, at in layered._done])
+    assert (fused.population.budget_processing
+            == layered.population.budget_processing)
 
 
 def test_window_entries_batch_vs_scalar(benchmark):

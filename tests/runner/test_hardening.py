@@ -66,7 +66,9 @@ def test_exhausted_retries_fail_the_point_not_the_campaign(
     assert result.failures == (doomed,)
 
 
-def test_selftest_fault_path_is_inert_without_the_env_gate(tmp_path):
+def test_selftest_fault_path_is_inert_without_the_env_gate(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.delenv("URLLC5G_CHAOS", raising=False)
     campaign = Campaign.build("gated", 5, [
         ("chaos-selftest", {"mode": "raise",
                             "token": str(tmp_path / "marker")}),
